@@ -3,8 +3,9 @@
 //!
 //! Sweeps worker counts {1, 2, 4, 8, all} over the two hot pipelines:
 //!
-//! - `blind_rotate_all` — the ciphertext-level blind-rotation batch, the
-//!   loop the paper spreads over eight FPGAs (§V);
+//! - `blind_rotate_all` — the ciphertext-level blind-rotation batch at one
+//!   node's thread budget (`blind_rotate_batch_par`), the loop the paper
+//!   spreads over eight FPGAs (§V);
 //! - `bootstrap` — the full scheme-switching pipeline end to end.
 //!
 //! Every configuration produces bit-identical ciphertexts (asserted here
@@ -20,7 +21,7 @@
 use std::time::Instant;
 
 use heap_ckks::{CkksContext, CkksParams, SecretKey};
-use heap_core::{BootstrapConfig, Bootstrapper, LocalCluster, Parallelism};
+use heap_core::{BootstrapConfig, Bootstrapper, Parallelism};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -96,13 +97,13 @@ fn main() {
 
     let mut rot_samples = Vec::new();
     for threads in thread_counts() {
-        let cluster = LocalCluster::with_node_parallelism(1, Parallelism::with_threads(threads));
+        let par = Parallelism::with_threads(threads);
         let (secs, ops) = measure(
-            || cluster.blind_rotate_all(&ctx, &boot, &switched),
+            || boot.blind_rotate_batch_par(&ctx, &switched, par),
             switched.len(),
         );
         // Determinism gate: any thread count must match the serial result.
-        let got = cluster.blind_rotate_all(&ctx, &boot, &switched);
+        let got = boot.blind_rotate_batch_par(&ctx, &switched, par);
         for (g, r) in got.iter().zip(&reference_rot) {
             assert!(g.a == r.a && g.b == r.b, "parallel result diverged");
         }

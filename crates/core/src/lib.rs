@@ -5,8 +5,9 @@
 //! The pipeline (Fig. 1b / Algorithm 2): `ModulusSwitch` → `Extract` →
 //! parallel `BlindRotate` over independent LWE ciphertexts → automorphism
 //! repacking → correction and `Rescale` by the auxiliary prime. Because the
-//! blind rotations are data-independent, [`cluster::LocalCluster`] spreads
-//! them across nodes exactly like the paper's primary/secondary FPGAs.
+//! blind rotations are data-independent, `heap-runtime`'s scheduler spreads
+//! them across nodes exactly like the paper's primary/secondary FPGAs,
+//! recording the traffic in a [`TransferLedger`].
 //!
 //! # Examples
 //!
@@ -29,7 +30,7 @@
 //! ```
 
 pub mod bootstrap;
-pub mod cluster;
+pub mod ledger;
 pub mod noise;
 pub mod repack;
 pub mod stage;
@@ -39,9 +40,9 @@ pub mod switch;
 pub use bootstrap::{
     generate_keys, generate_keys_reseeded, BootstrapConfig, Bootstrapper, GeneratedKeys,
 };
-pub use cluster::{ComputeNode, LocalCluster, LocalNode, TransferLedger};
 pub use heap_parallel::Parallelism;
 pub use heap_tfhe::{BrBackend, BrKeys};
+pub use ledger::TransferLedger;
 pub use noise::{measure_coeff_error, predicted_bootstrap_rel_error, ErrorStats};
 pub use stage::{stage_metric_name, StageMetrics, KERNEL_STAGES, PIPELINE_STAGES};
 pub use stats::{repack_key_switch_count, BootstrapStats};

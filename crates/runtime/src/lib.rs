@@ -83,13 +83,12 @@ pub use fault::{ChaosNode, FaultAction, FaultPlan, FaultState};
 pub use job::{JobHandle, JobId, JobOutput, JobRequest, Priority, TenantId};
 pub use node::{attest_digest, AttestedBatch, LocalServiceNode, NodeError, ServiceNode};
 pub use preset::{
-    insecure_deterministic_setup, insecure_deterministic_setup_backend, keyed_setup,
-    keyed_setup_backend, DeterministicSetup, KeyedSetup, ParamPreset,
+    insecure_deterministic_setup, keyed_setup, keyed_setup_backend, DeterministicSetup, KeyedSetup,
+    ParamPreset,
 };
 pub use queue::FairnessPolicy;
 pub use remote::{
     serve, serve_keyless, NodeKeyStore, NodeTelemetry, NodeTimeouts, RemoteNode, ServeOptions,
-    BACKEND_AUTO, BACKEND_BOTH, BACKEND_CMUX,
 };
 pub use scheduler::{RetryPolicy, Scheduler, SchedulerStats};
 pub use service::{

@@ -1,16 +1,17 @@
-//! The fallible compute-node abstraction used by the scheduler.
+//! The compute-node abstraction of the paper's §V multi-node model.
 //!
-//! `heap-core`'s `ComputeNode` is infallible — appropriate for in-process
-//! nodes, but a remote node can lose its connection mid-batch. The
-//! scheduler therefore dispatches through [`ServiceNode`], whose batch
-//! call returns a [`Result`], and treats any `Err` as "this node is gone:
-//! reassign its shard". [`LocalServiceNode`] adapts the in-process
-//! executor; [`crate::RemoteNode`] implements both traits.
+//! HEAP's approach "can be mapped to any system with multiple compute
+//! nodes": anything implementing [`ServiceNode`] can serve as a
+//! secondary. A remote node can lose its connection mid-batch, so the
+//! batch call returns a [`Result`] and the scheduler treats any `Err` as
+//! "this node is gone: reassign its shard". [`LocalServiceNode`] runs on
+//! the calling machine and never fails; [`crate::RemoteNode`] reaches a
+//! `heap-node-serve` process over TCP.
 
 use std::time::Duration;
 
 use heap_ckks::CkksContext;
-use heap_core::{Bootstrapper, BrBackend, ComputeNode};
+use heap_core::Bootstrapper;
 use heap_parallel::Parallelism;
 use heap_tfhe::{LweCiphertext, RlweCiphertext};
 
@@ -145,17 +146,6 @@ pub trait ServiceNode: Send + Sync {
         true
     }
 
-    /// Whether this node can execute blind rotations under the given
-    /// backend's key material. In-process nodes run whatever datapath the
-    /// bootstrapper carries, so the default is `true`; a
-    /// [`crate::RemoteNode`] answers from the backend bitmask its peer
-    /// advertised in the `HelloAck`. The scheduler ranks capable nodes
-    /// first and counts dispatches to incapable ones as backend
-    /// fallbacks rather than refusing the batch.
-    fn supports_backend(&self, _backend: BrBackend) -> bool {
-        true
-    }
-
     /// Human-readable node name (diagnostics and stats).
     fn name(&self) -> String {
         "node".to_string()
@@ -190,20 +180,5 @@ impl ServiceNode for LocalServiceNode {
 
     fn name(&self) -> String {
         format!("local-{}", self.index)
-    }
-}
-
-impl ComputeNode for LocalServiceNode {
-    fn blind_rotate_batch(
-        &self,
-        ctx: &CkksContext,
-        boot: &Bootstrapper,
-        lwes: &[LweCiphertext],
-    ) -> Vec<RlweCiphertext> {
-        boot.blind_rotate_batch_par(ctx, lwes, self.parallelism)
-    }
-
-    fn name(&self) -> String {
-        ServiceNode::name(self)
     }
 }

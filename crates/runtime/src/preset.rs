@@ -107,25 +107,13 @@ pub struct DeterministicSetup {
 /// this must never key a cluster of untrusted nodes. Use [`keyed_setup`]
 /// plus wire distribution instead.
 pub fn insecure_deterministic_setup(preset: ParamPreset, seed: u64) -> DeterministicSetup {
-    insecure_deterministic_setup_backend(preset, seed, BrBackend::Cmux)
-}
-
-/// [`insecure_deterministic_setup`] under an explicit blind-rotate
-/// backend: the `Cmux` spelling is byte-identical to the two-argument
-/// form (same RNG stream, same keys), `Auto` generates automorphism
-/// key material for the same secret instead.
-pub fn insecure_deterministic_setup_backend(
-    preset: ParamPreset,
-    seed: u64,
-    backend: BrBackend,
-) -> DeterministicSetup {
     let ctx = Arc::new(CkksContext::new(preset.ckks_params()));
     let mut rng = StdRng::seed_from_u64(seed);
     let sk = SecretKey::generate(&ctx, &mut rng);
     let boot = Arc::new(Bootstrapper::generate(
         &ctx,
         &sk,
-        preset.bootstrap_config_with(backend),
+        preset.bootstrap_config(),
         &mut rng,
     ));
     DeterministicSetup { ctx, sk, boot }
@@ -229,39 +217,14 @@ mod tests {
 
     #[test]
     fn backend_setups_are_deterministic_and_distinct() {
-        let a = insecure_deterministic_setup_backend(ParamPreset::Tiny, 7, BrBackend::Auto);
-        let b = insecure_deterministic_setup_backend(ParamPreset::Tiny, 7, BrBackend::Auto);
-        assert_eq!(a.boot.config().backend, BrBackend::Auto);
-        let lwe = heap_tfhe::LweCiphertext {
-            a: (0..a.boot.config().n_t as u64).collect(),
-            b: 17,
-            modulus: 2 * a.ctx.n() as u64,
-        };
-        let moduli: Vec<u64> = (0..a.ctx.boot_limbs())
-            .map(|j| a.ctx.rns().modulus(j).value())
-            .collect();
-        assert_eq!(
-            a.boot.blind_rotate_one(&a.ctx, &lwe).to_wire(&moduli),
-            b.boot.blind_rotate_one(&b.ctx, &lwe).to_wire(&moduli),
-            "auto setup is deterministic across processes"
-        );
-        // The Cmux spelling of the backend-parameterized form is
-        // byte-identical key material to the legacy two-argument form.
-        let legacy = insecure_deterministic_setup(ParamPreset::Tiny, 7);
-        let cmux = insecure_deterministic_setup_backend(ParamPreset::Tiny, 7, BrBackend::Cmux);
-        assert_eq!(
-            legacy
-                .boot
-                .blind_rotate_one(&legacy.ctx, &lwe)
-                .to_wire(&moduli),
-            cmux.boot.blind_rotate_one(&cmux.ctx, &lwe).to_wire(&moduli),
-        );
-        // Keyed setups: distinct backends are distinct key content, and
-        // the automorphism container is the smaller of the two.
+        // Distinct backends are distinct key content, and the
+        // automorphism container is the smaller of the two.
         let kc = keyed_setup_backend(ParamPreset::Tiny, 9, BrBackend::Cmux);
         let ka = keyed_setup_backend(ParamPreset::Tiny, 9, BrBackend::Auto);
         assert_ne!(kc.key.id, ka.key.id);
         assert_eq!(kc.key.id, keyed_setup(ParamPreset::Tiny, 9).key.id);
+        let ka2 = keyed_setup_backend(ParamPreset::Tiny, 9, BrBackend::Auto);
+        assert_eq!(ka.key.id, ka2.key.id, "auto setup is deterministic");
         assert!(
             ka.key.strict_len < kc.key.strict_len,
             "auto strict container must ship fewer bytes ({} vs {})",

@@ -50,6 +50,9 @@
 //! `BlindRotateReq → BlindRotateResp`, `Ping → Pong`, and
 //! `StatsReq → StatsResp` exchanges. Either side may send `Error`
 //! (UTF-8 reason) and hang up; `Shutdown` ends the session cleanly.
+//! Servers read a connection's first frame under a `Hello`-sized cap, so
+//! an unauthenticated header claiming a larger payload is refused with
+//! an `Error` frame before anything is allocated.
 //!
 //! # Key distribution
 //!
@@ -93,12 +96,12 @@
 use std::collections::HashSet;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use heap_ckks::CkksContext;
-use heap_core::{Bootstrapper, BrBackend, ComputeNode, TransferLedger};
+use heap_core::{Bootstrapper, TransferLedger};
 use heap_keys::{EvalKeySet, KeyCache, KeyId, KeyPackage};
 use heap_parallel::Parallelism;
 use heap_telemetry::{Counter, MetricValue, Registry, Snapshot};
@@ -121,18 +124,6 @@ pub(crate) const RESP_DIGEST_BYTES: u64 = 8;
 const MAX_FRAME: u64 = 1 << 30;
 /// Hello payload: `u32 n, u32 boot_limbs, u64 q0`.
 const HELLO_BYTES: usize = 16;
-/// Blind-rotate backend bitmask (the `HelloAck` trailer byte): the node
-/// serves the CMUX-ladder datapath.
-pub const BACKEND_CMUX: u8 = 1 << 0;
-/// Backend bitmask: the node serves the automorphism datapath.
-pub const BACKEND_AUTO: u8 = 1 << 1;
-/// Backend bitmask: both datapaths (the [`ServeOptions`] default).
-pub const BACKEND_BOTH: u8 = BACKEND_CMUX | BACKEND_AUTO;
-
-/// The advertisement bit for one backend (`1 << BrBackend::code()`).
-pub(crate) fn backend_bit(backend: BrBackend) -> u8 {
-    1 << backend.code()
-}
 /// How long a server-side `hang` action sleeps when the plan gives no
 /// duration: far beyond any client deadline, i.e. "forever".
 const HANG_FOREVER: Duration = Duration::from_secs(600);
@@ -306,6 +297,12 @@ pub(crate) fn write_frame(
 
 /// Reads one frame; returns kind, payload, and total bytes consumed.
 pub(crate) fn read_frame(r: &mut impl Read) -> Result<(FrameKind, Vec<u8>, u64), FrameError> {
+    read_frame_capped(r, MAX_FRAME)
+}
+
+/// [`read_frame`] refusing, before allocating or waiting for a single
+/// payload byte, any header that claims more than `cap` payload bytes.
+fn read_frame_capped(r: &mut impl Read, cap: u64) -> Result<(FrameKind, Vec<u8>, u64), FrameError> {
     let mut header = [0u8; FRAME_HEADER_BYTES as usize];
     r.read_exact(&mut header).map_err(FrameError::Io)?;
     let magic = u32::from_le_bytes(header[..4].try_into().expect("4 bytes"));
@@ -317,9 +314,9 @@ pub(crate) fn read_frame(r: &mut impl Read) -> Result<(FrameKind, Vec<u8>, u64),
     let kind = FrameKind::from_u8(header[4])
         .ok_or_else(|| FrameError::Protocol(format!("unknown frame kind {}", header[4])))?;
     let len = u64::from_le_bytes(header[5..13].try_into().expect("8 bytes"));
-    if len > MAX_FRAME {
+    if len > cap {
         return Err(FrameError::Protocol(format!(
-            "oversized frame ({len} bytes)"
+            "oversized {kind:?} frame ({len} bytes, cap {cap})"
         )));
     }
     let crc = u32::from_le_bytes(header[13..].try_into().expect("4 bytes"));
@@ -495,25 +492,43 @@ pub(crate) fn check_hello(local: &[u8], payload: &[u8]) -> Result<(), String> {
     Ok(())
 }
 
-/// `HelloAck` payload: the ring shape, the key ids the node caches
-/// (`u32 LE` count, then `u64 LE` ids, most recently used first), and
-/// one trailing byte advertising the blind-rotate backends the node
-/// serves ([`BACKEND_CMUX`] | [`BACKEND_AUTO`]).
-fn hello_ack_payload(local_hello: &[u8], ids: &[KeyId], backends: u8) -> Vec<u8> {
-    let mut p = Vec::with_capacity(local_hello.len() + 4 + 8 * ids.len() + 1);
+/// Server side of the handshake: reads the connection's first frame
+/// under a [`HELLO_BYTES`] cap and validates it as a `Hello` matching
+/// `local_hello`. An unauthenticated peer therefore cannot make a server
+/// allocate, or wait for, more than a handshake's worth of bytes. Every
+/// protocol failure — an oversized header included — is answered with an
+/// `Error` frame and returned as [`NodeError::Protocol`]; transport and
+/// checksum failures are returned without a reply.
+pub(crate) fn accept_hello(stream: &mut TcpStream, local_hello: &[u8]) -> Result<(), NodeError> {
+    let why = match read_frame_capped(stream, HELLO_BYTES as u64) {
+        Ok((FrameKind::Hello, payload, _)) => match check_hello(local_hello, &payload) {
+            Ok(()) => return Ok(()),
+            Err(why) => why,
+        },
+        Ok(_) => "expected Hello".to_string(),
+        Err(FrameError::Protocol(why)) => why,
+        Err(e) => return Err(server_frame_err(e)),
+    };
+    let _ = write_frame(stream, FrameKind::Error, why.as_bytes());
+    Err(NodeError::Protocol(why))
+}
+
+/// `HelloAck` payload: the ring shape, then the key ids the node caches
+/// (`u32 LE` count, then `u64 LE` ids, most recently used first).
+fn hello_ack_payload(local_hello: &[u8], ids: &[KeyId]) -> Vec<u8> {
+    let mut p = Vec::with_capacity(local_hello.len() + 4 + 8 * ids.len());
     p.extend_from_slice(local_hello);
     p.extend_from_slice(&(ids.len() as u32).to_le_bytes());
     for id in ids {
         p.extend_from_slice(&id.0.to_le_bytes());
     }
-    p.push(backends);
     p
 }
 
 /// Validates a `HelloAck` against the local ring shape and returns the
-/// advertised cached key ids and backend bitmask.
-pub(crate) fn check_hello_ack(local: &[u8], payload: &[u8]) -> Result<(Vec<u64>, u8), String> {
-    if payload.len() < HELLO_BYTES + 4 + 1 {
+/// advertised cached key ids.
+pub(crate) fn check_hello_ack(local: &[u8], payload: &[u8]) -> Result<Vec<u64>, String> {
+    if payload.len() < HELLO_BYTES + 4 {
         return Err(format!("hello-ack payload is {} bytes", payload.len()));
     }
     check_hello(local, &payload[..HELLO_BYTES])?;
@@ -522,24 +537,17 @@ pub(crate) fn check_hello_ack(local: &[u8], payload: &[u8]) -> Result<(Vec<u64>,
             .try_into()
             .expect("4 bytes"),
     ) as usize;
-    let rest = &payload[HELLO_BYTES + 4..];
-    if rest.len() != count.saturating_mul(8) + 1 {
+    let ids = &payload[HELLO_BYTES + 4..];
+    if ids.len() != count.saturating_mul(8) {
         return Err(format!(
-            "hello-ack advertises {count} keys but carries {} id+backend bytes",
-            rest.len()
+            "hello-ack advertises {count} keys but carries {} id bytes",
+            ids.len()
         ));
     }
-    let (ids, tail) = rest.split_at(rest.len() - 1);
-    let backends = tail[0];
-    if backends == 0 || backends & !BACKEND_BOTH != 0 {
-        return Err(format!("hello-ack backend bitmask {backends:#04x} invalid"));
-    }
-    Ok((
-        ids.chunks_exact(8)
-            .map(|c| u64::from_le_bytes(c.try_into().expect("8 bytes")))
-            .collect(),
-        backends,
-    ))
+    Ok(ids
+        .chunks_exact(8)
+        .map(|c| u64::from_le_bytes(c.try_into().expect("8 bytes")))
+        .collect())
 }
 
 /// A `KeyAck`/`KeyNeed` reply payload is the echoed `u64 LE` key id.
@@ -579,9 +587,6 @@ pub struct RemoteNode {
     /// Key ids the server is known to hold: seeded from each `HelloAck`,
     /// extended by every `KeyAck`. Drives [`ServiceNode::holds_key`].
     known: Mutex<HashSet<u64>>,
-    /// Backend bitmask the server advertised in its last `HelloAck`.
-    /// Drives [`ServiceNode::supports_backend`].
-    advertised: AtomicU8,
 }
 
 impl RemoteNode {
@@ -630,7 +635,6 @@ impl RemoteNode {
             ledger,
             key: None,
             known: Mutex::new(HashSet::new()),
-            advertised: AtomicU8::new(BACKEND_BOTH),
         };
         let stream = node.dial()?;
         *node.lock_stream() = Some(stream);
@@ -654,12 +658,6 @@ impl RemoteNode {
     /// The key id this node's batches run under (`None` = server default).
     pub fn key_id(&self) -> Option<KeyId> {
         self.key.as_ref().map(|k| k.id)
-    }
-
-    /// The blind-rotate backend bitmask the server advertised in its
-    /// last `HelloAck` ([`BACKEND_CMUX`] | [`BACKEND_AUTO`]).
-    pub fn advertised_backends(&self) -> u8 {
-        self.advertised.load(Ordering::Relaxed)
     }
 
     /// The deadlines this node applies to its socket operations.
@@ -717,15 +715,12 @@ impl RemoteNode {
         }
         match kind {
             FrameKind::HelloAck => {
-                let (ids, backends) =
-                    check_hello_ack(&self.hello, &payload).map_err(NodeError::Protocol)?;
+                let ids = check_hello_ack(&self.hello, &payload).map_err(NodeError::Protocol)?;
                 // A fresh handshake resets what we believe the server
-                // holds — a restarted peer starts with an empty cache
-                // and may serve different datapaths.
+                // holds — a restarted peer starts with an empty cache.
                 let mut known = self.lock_known();
                 known.clear();
                 known.extend(ids);
-                self.advertised.store(backends, Ordering::Relaxed);
             }
             FrameKind::Error => {
                 return Err(NodeError::Remote(
@@ -973,32 +968,6 @@ impl ServiceNode for RemoteNode {
         }
     }
 
-    fn supports_backend(&self, backend: BrBackend) -> bool {
-        self.advertised.load(Ordering::Relaxed) & backend_bit(backend) != 0
-    }
-
-    fn name(&self) -> String {
-        self.name.clone()
-    }
-}
-
-impl ComputeNode for RemoteNode {
-    /// Infallible adapter for `heap-core` call sites.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the transport fails — use [`ServiceNode`] (the scheduler
-    /// does) when failures must be survivable.
-    fn blind_rotate_batch(
-        &self,
-        ctx: &CkksContext,
-        boot: &Bootstrapper,
-        lwes: &[LweCiphertext],
-    ) -> Vec<RlweCiphertext> {
-        self.try_blind_rotate_batch(ctx, boot, lwes)
-            .unwrap_or_else(|e| panic!("remote node {}: {e}", self.name))
-    }
-
     fn name(&self) -> String {
         self.name.clone()
     }
@@ -1051,7 +1020,7 @@ impl std::fmt::Debug for NodeKeyStore {
 }
 
 /// Server-side knobs for [`serve`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ServeOptions {
     /// Thread budget for this node's blind rotations (one FPGA's worth of
     /// compute in the paper's terms).
@@ -1075,26 +1044,6 @@ pub struct ServeOptions {
     /// keep (as `heap-node-serve` does for its metrics endpoint) to
     /// observe or bound it; `None` creates a private unbounded store.
     pub key_store: Option<NodeKeyStore>,
-    /// Blind-rotate backends this node serves, advertised in every
-    /// `HelloAck` trailer byte ([`BACKEND_CMUX`] | [`BACKEND_AUTO`];
-    /// default [`BACKEND_BOTH`]). A `KeyUpload` whose container was
-    /// generated for a backend outside this mask is refused with an
-    /// `Error` frame. [`serve`] additionally ORs in the pre-loaded
-    /// default key's backend so the advertisement stays truthful.
-    pub backends: u8,
-}
-
-impl Default for ServeOptions {
-    fn default() -> Self {
-        Self {
-            parallelism: Parallelism::default(),
-            fail_after: None,
-            fault_plan: None,
-            telemetry: None,
-            key_store: None,
-            backends: BACKEND_BOTH,
-        }
-    }
 }
 
 /// Serves blind-rotation requests on `listener` until the process exits,
@@ -1119,8 +1068,6 @@ pub fn serve(
     let resident = set.to_strict_wire(&ctx).len();
     store.lock().insert(set.id(), Arc::clone(&boot), resident);
     opts.key_store = Some(store);
-    // The advertisement must cover the key the node actually pre-loaded.
-    opts.backends |= backend_bit(boot.br_keys().backend());
     serve_inner(listener, ctx, Some(boot), opts)
 }
 
@@ -1151,7 +1098,6 @@ fn serve_inner(
         telemetry: opts.telemetry.unwrap_or_default(),
         default_boot,
         keys: opts.key_store.unwrap_or_default(),
-        backends: opts.backends,
     });
     for conn in listener.incoming() {
         let stream = conn?;
@@ -1182,9 +1128,6 @@ struct ServerState {
     default_boot: Option<Arc<Bootstrapper>>,
     /// Wire-distributed keys by content id.
     keys: NodeKeyStore,
-    /// Blind-rotate backends served (HelloAck advertisement; uploads of
-    /// other backends' key containers are refused).
-    backends: u8,
 }
 
 /// Maps a server-side frame failure (no deadlines are armed on the
@@ -1219,18 +1162,13 @@ fn handle_connection(
         .set_write_timeout(Some(Duration::from_secs(30)))
         .map_err(|e| NodeError::Io(e.to_string()))?;
     let local_hello = hello_payload(ctx);
-    let (kind, payload, _) = read_frame(&mut stream).map_err(server_frame_err)?;
-    if kind != FrameKind::Hello {
-        state.telemetry.errors.inc();
-        let _ = write_frame(&mut stream, FrameKind::Error, b"expected Hello");
-        return Err(NodeError::Protocol("expected Hello".into()));
+    if let Err(e) = accept_hello(&mut stream, &local_hello) {
+        if matches!(e, NodeError::Protocol(_)) {
+            state.telemetry.errors.inc();
+        }
+        return Err(e);
     }
-    if let Err(why) = check_hello(&local_hello, &payload) {
-        state.telemetry.errors.inc();
-        let _ = write_frame(&mut stream, FrameKind::Error, why.as_bytes());
-        return Err(NodeError::Protocol(why));
-    }
-    let ack = hello_ack_payload(&local_hello, &state.keys.lock().ids(), state.backends);
+    let ack = hello_ack_payload(&local_hello, &state.keys.lock().ids());
     write_frame(&mut stream, FrameKind::HelloAck, &ack)
         .map_err(|e| NodeError::Io(e.to_string()))?;
     let moduli: Vec<u64> = (0..ctx.boot_limbs())
@@ -1394,16 +1332,6 @@ fn handle_connection(
                         continue;
                     }
                 };
-                // A container generated for a datapath this node does
-                // not serve is refused before the expensive expansion
-                // parity check; the session stays in sync.
-                if backend_bit(set.backend()) & state.backends == 0 {
-                    let why = format!("backend {} not served by this node", set.backend());
-                    state.telemetry.errors.inc();
-                    write_frame(&mut stream, FrameKind::Error, why.as_bytes())
-                        .map_err(|e| NodeError::Io(e.to_string()))?;
-                    continue;
-                }
                 // The parity oracle: the id recomputed from the strict
                 // re-encoding of the expanded keys must equal the offer.
                 if set.id().0 != id {
@@ -1453,6 +1381,38 @@ fn handle_connection(
                 return Err(NodeError::Protocol(why));
             }
         }
+    }
+}
+
+/// Sends a bare `Hello` header claiming a 1 GiB payload, then reads the
+/// reply under a 2 s deadline. `Ok` means the server answered with an
+/// `Error` frame or closed the connection; a read timeout means it is
+/// still waiting for the gigabyte.
+#[cfg(test)]
+pub(crate) fn probe_oversized_hello(addr: impl ToSocketAddrs) -> Result<(), String> {
+    let mut stream = TcpStream::connect(addr).map_err(|e| format!("connect: {e}"))?;
+    stream
+        .set_read_timeout(Some(Duration::from_secs(2)))
+        .map_err(|e| e.to_string())?;
+    let mut header = [0u8; FRAME_HEADER_BYTES as usize];
+    header[..4].copy_from_slice(&FRAME_MAGIC.to_le_bytes());
+    header[4] = FrameKind::Hello as u8;
+    header[5..13].copy_from_slice(&MAX_FRAME.to_le_bytes());
+    stream
+        .write_all(&header)
+        .map_err(|e| format!("write: {e}"))?;
+    match read_frame(&mut stream) {
+        Ok((FrameKind::Error, _, _)) => Ok(()),
+        Ok((kind, _, _)) => Err(format!("expected an Error frame, got {kind:?}")),
+        Err(FrameError::Io(e))
+            if matches!(
+                e.kind(),
+                std::io::ErrorKind::UnexpectedEof | std::io::ErrorKind::ConnectionReset
+            ) =>
+        {
+            Ok(())
+        }
+        Err(e) => Err(format!("no refusal within 2 s: {e:?}")),
     }
 }
 
@@ -1614,13 +1574,13 @@ mod tests {
         .expect("connect");
         // Handshake: Hello out (16-byte shape), HelloAck back (shape +
         // u32 count + one advertised key id — `serve` registers its
-        // default key in the cache — + the backend bitmask byte).
+        // default key in the cache).
         assert_eq!(ledger.control_frames_sent(), 1);
         assert_eq!(ledger.control_frames_received(), 1);
         assert_eq!(ledger.control_bytes_sent(), FRAME_HEADER_BYTES + 16);
         assert_eq!(
             ledger.control_bytes_received(),
-            FRAME_HEADER_BYTES + 16 + 4 + 8 + 1
+            FRAME_HEADER_BYTES + 16 + 4 + 8
         );
         // Ping/Pong: empty payloads, header-only frames.
         node.ping().expect("ping");
@@ -1696,6 +1656,12 @@ mod tests {
             .expect("read reply");
         assert_eq!(kind, FrameKind::Error);
         assert!(String::from_utf8_lossy(&payload).contains("mismatch"));
+    }
+
+    #[test]
+    fn oversized_hello_header_is_refused_before_the_handshake() {
+        let addr = spawn_server(ServeOptions::default());
+        probe_oversized_hello(&addr).expect("server must refuse the 1 GiB Hello");
     }
 
     #[test]
@@ -1908,7 +1874,7 @@ mod tests {
             let (mut stream, _) = listener.accept().expect("accept");
             let (kind, _, _) = read_frame(&mut stream).expect("hello");
             assert_eq!(kind, FrameKind::Hello);
-            let ack = hello_ack_payload(&local_hello, &[], BACKEND_BOTH);
+            let ack = hello_ack_payload(&local_hello, &[]);
             write_frame(&mut stream, FrameKind::HelloAck, &ack).expect("ack");
             let (kind, _, _) = read_frame(&mut stream).expect("request");
             assert_eq!(kind, FrameKind::BlindRotateReq);
@@ -1949,71 +1915,17 @@ mod tests {
     /// A fresh seed-expandable key set, its upload package, and a local
     /// bootstrapper built from the identical keys.
     fn wire_key(master: u64, rng_seed: u64) -> (Arc<KeyPackage>, Bootstrapper) {
-        wire_key_backend(master, rng_seed, BrBackend::Cmux)
-    }
-
-    /// [`wire_key`] for an explicit blind-rotate backend.
-    fn wire_key_backend(
-        master: u64,
-        rng_seed: u64,
-        backend: BrBackend,
-    ) -> (Arc<KeyPackage>, Bootstrapper) {
         use heap_core::{generate_keys_reseeded, BootstrapConfig};
         use rand::rngs::StdRng;
         use rand::SeedableRng;
         let s = setup();
-        let config = BootstrapConfig::test_small().with_backend(backend);
+        let config = BootstrapConfig::test_small();
         let mut rng = StdRng::seed_from_u64(rng_seed);
         let sk = heap_ckks::SecretKey::generate(&s.ctx, &mut rng);
         let keys = generate_keys_reseeded(&s.ctx, &sk, config, master, &mut rng);
         let set = EvalKeySet::new(&s.ctx, config, keys, Some(master));
         let pkg = Arc::new(set.package(&s.ctx));
         (pkg, set.into_bootstrapper(&s.ctx))
-    }
-
-    #[test]
-    fn backend_restricted_node_advertises_and_refuses_foreign_uploads() {
-        let s = setup();
-        let addr = spawn_keyless(ServeOptions {
-            parallelism: Parallelism::serial(),
-            backends: BACKEND_CMUX,
-            ..ServeOptions::default()
-        });
-        // The HelloAck trailer reflects the restriction.
-        let (auto_pkg, _) = wire_key_backend(0xA07, 77, BrBackend::Auto);
-        let node = RemoteNode::connect(&addr, &s.ctx)
-            .expect("connect")
-            .with_key(auto_pkg);
-        assert_eq!(node.advertised_backends(), BACKEND_CMUX);
-        assert!(ServiceNode::supports_backend(&node, BrBackend::Cmux));
-        assert!(!ServiceNode::supports_backend(&node, BrBackend::Auto));
-        // An automorphism-backend container is refused at upload; the
-        // session (and telemetry) treats it as a remote error, not I/O.
-        let err = node
-            .try_blind_rotate_batch(&s.ctx, &s.boot, &test_lwes(1))
-            .expect_err("auto container refused on a cmux-only node");
-        assert!(
-            matches!(err, NodeError::Remote(ref m) if m.contains("not served")),
-            "{err:?}"
-        );
-        // A CMUX container on the same server still flows end to end.
-        let (cmux_pkg, local) = wire_key(0xC07, 78);
-        let node2 = RemoteNode::connect(&addr, &s.ctx)
-            .expect("connect")
-            .with_key(cmux_pkg);
-        let lwes = test_lwes(2);
-        let remote = node2
-            .try_blind_rotate_batch(&s.ctx, &s.boot, &lwes)
-            .expect("cmux batch on a cmux-only node");
-        let reference = local.blind_rotate_batch_par(&s.ctx, &lwes, Parallelism::serial());
-        let moduli: Vec<u64> = (0..s.ctx.boot_limbs())
-            .map(|j| s.ctx.rns().modulus(j).value())
-            .collect();
-        for (r, l) in remote.iter().zip(&reference) {
-            assert_eq!(r.to_wire(&moduli), l.to_wire(&moduli));
-        }
-        node.shutdown();
-        node2.shutdown();
     }
 
     #[test]
@@ -2132,9 +2044,8 @@ mod tests {
             .map_err(server_frame_err)
             .expect("ack");
         assert_eq!(kind, FrameKind::HelloAck);
-        let (ids, backends) = check_hello_ack(&local, &payload).expect("valid ack");
+        let ids = check_hello_ack(&local, &payload).expect("valid ack");
         assert!(ids.is_empty(), "keyless node advertises no ids");
-        assert_eq!(backends, BACKEND_BOTH, "default mask serves both");
         // Offer an id the server lacks → KeyNeed echoing the id.
         write_frame(&mut stream, FrameKind::KeyOffer, &7u64.to_le_bytes()).expect("offer");
         let (kind, reply, _) = read_frame(&mut stream)
@@ -2235,17 +2146,13 @@ mod tests {
             #[test]
             fn hello_ack_roundtrips_and_rejects_prefixes(
                 ids in prop::collection::vec(any::<u64>(), 0..8),
-                backends in 1u8..4,
                 cut in 0usize..1 << 16,
             ) {
                 let s = setup();
                 let local = hello_payload(&s.ctx);
                 let key_ids: Vec<KeyId> = ids.iter().copied().map(KeyId).collect();
-                let payload = hello_ack_payload(&local, &key_ids, backends);
-                prop_assert_eq!(
-                    check_hello_ack(&local, &payload).unwrap(),
-                    (ids, backends)
-                );
+                let payload = hello_ack_payload(&local, &key_ids);
+                prop_assert_eq!(check_hello_ack(&local, &payload).unwrap(), ids);
                 let cut = cut % payload.len();
                 prop_assert!(check_hello_ack(&local, &payload[..cut]).is_err());
             }

@@ -1,11 +1,11 @@
 //! Sharding, least-loaded dispatch, and fault-tolerant reassignment.
 //!
 //! A flushed batch of LWE ciphertexts is split into contiguous shards —
-//! one per dispatchable node, mirroring `LocalCluster`'s contiguous
-//! chunking so results reassemble in input order by construction. Shards
-//! go to nodes least-loaded-first (load = blind rotations currently in
-//! flight on that node, which matters when several batches overlap or
-//! nodes differ in speed).
+//! one per dispatchable node, the paper's contiguous primary/secondary
+//! chunking (§V), so results reassemble in input order by construction.
+//! Shards go to key-holding nodes first, then least-loaded-first (load =
+//! blind rotations currently in flight on that node, which matters when
+//! several batches overlap or nodes differ in speed).
 //!
 //! Failure handling is a per-node circuit breaker plus per-shard retry
 //! with exponential backoff:
@@ -37,7 +37,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use heap_ckks::CkksContext;
-use heap_core::{Bootstrapper, BrBackend};
+use heap_core::Bootstrapper;
 use heap_tfhe::{LweCiphertext, RlweCiphertext};
 
 use crate::node::{NodeError, ServiceNode};
@@ -297,11 +297,6 @@ pub struct SchedulerStats {
     pub readmissions: u64,
     /// Shards served by the fallback node.
     pub fallback_shards: u64,
-    /// Shards dispatched to a node that did not advertise the batch's
-    /// blind-rotate backend. Such nodes still serve the batch (the key
-    /// upload carries the real datapath), so a cluster with no capable
-    /// node degrades to counted fallbacks instead of an error.
-    pub backend_fallbacks: u64,
     /// Speculative hedge attempts dispatched for straggling shards.
     pub hedges_issued: u64,
     /// Shards whose winning result came from a hedge attempt.
@@ -408,23 +403,17 @@ struct Inner {
 }
 
 impl Inner {
-    /// Dispatchable node indices, ranked for the batch's blind-rotate
-    /// `backend`: nodes advertising the backend first (within them,
-    /// key-holders before nodes needing an upload), then key-only nodes
-    /// without the backend, then least-loaded (stable on ties), with the
+    /// Dispatchable node indices, ranked key-holders first (no upload
+    /// needed), then least-loaded (stable on ties), with the
     /// [`FALLBACK`] sentinel appended when capacity has degraded below
-    /// the policy floor and a fallback is available. A backend-less node
-    /// is still dispatchable — the upload carries the real datapath — so
-    /// a homogeneous-CMUX cluster serves auto batches as counted
-    /// fallbacks rather than erroring.
-    fn ranked_dispatchable(&self, backend: BrBackend) -> Vec<usize> {
+    /// the policy floor and a fallback is available.
+    fn ranked_dispatchable(&self) -> Vec<usize> {
         let mut idx: Vec<usize> = (0..self.slots.len())
             .filter(|&i| self.slots[i].breaker.is_dispatchable())
             .collect();
         idx.sort_by_key(|&i| {
             let slot = &self.slots[i];
             (
-                !slot.node.supports_backend(backend),
                 !slot.node.holds_key(),
                 slot.inflight.load(Ordering::Relaxed),
             )
@@ -553,12 +542,6 @@ impl Inner {
         self.telemetry.shards.inc();
         if node_idx == FALLBACK {
             self.telemetry.fallback_shards.inc();
-        }
-        if !self
-            .node(node_idx)
-            .supports_backend(boot.br_keys().backend())
-        {
-            self.telemetry.backend_fallbacks.inc();
         }
         let (inner, ctx, boot, lwes, round) = (
             Arc::clone(self),
@@ -858,7 +841,6 @@ impl Scheduler {
             breaker_opens: t.breaker_opens.get(),
             readmissions: t.readmissions.get(),
             fallback_shards: t.fallback_shards.get(),
-            backend_fallbacks: t.backend_fallbacks.get(),
             hedges_issued: t.hedges_issued.get(),
             hedges_won: t.hedges_won.get(),
             hedges_wasted: t.hedges_wasted.get(),
@@ -897,12 +879,11 @@ impl Scheduler {
         // Workers are detached (a stalled loser must not block the
         // batch), so they share the inputs by `Arc` rather than borrow.
         let lwes: Arc<Vec<LweCiphertext>> = Arc::new(lwes.to_vec());
-        let backend = boot.br_keys().backend();
         let mut out: Vec<Option<Vec<RlweCiphertext>>> = Vec::new();
         // (output slot, shard range) pairs still awaiting a valid result.
         let mut pending: Vec<(usize, std::ops::Range<usize>)> = Vec::new();
         {
-            let ranked = inner.ranked_dispatchable(backend);
+            let ranked = inner.ranked_dispatchable();
             if ranked.is_empty() {
                 return Err(RuntimeError::AllNodesFailed("no dispatchable nodes".into()));
             }
@@ -924,7 +905,7 @@ impl Scheduler {
                     inner.policy.max_rounds
                 )));
             }
-            let ranked = inner.ranked_dispatchable(backend);
+            let ranked = inner.ranked_dispatchable();
             if ranked.is_empty() {
                 return Err(RuntimeError::AllNodesFailed(last_err));
             }
@@ -1055,7 +1036,7 @@ impl Scheduler {
             // warmed-up EWMA; it is both the trigger reference and the
             // hedge target.
             let candidate = inner
-                .ranked_dispatchable(boot.br_keys().backend())
+                .ranked_dispatchable()
                 .into_iter()
                 .filter(|&i| i != FALLBACK && !tried.contains(&i))
                 .filter_map(|i| {
@@ -1258,21 +1239,10 @@ mod tests {
         assert_eq!(stats.fallback_shards, 0);
     }
 
-    /// A local node with a scripted backend advertisement and key claim.
+    /// A local node with a scripted key-residency advertisement.
     struct AdvertisedNode {
         inner: LocalServiceNode,
-        supports_auto: bool,
         holds: bool,
-    }
-
-    impl AdvertisedNode {
-        fn boxed(index: usize, supports_auto: bool, holds: bool) -> Box<Self> {
-            Box::new(Self {
-                inner: LocalServiceNode::new(index, Parallelism::serial()),
-                supports_auto,
-                holds,
-            })
-        }
     }
 
     impl ServiceNode for AdvertisedNode {
@@ -1288,97 +1258,28 @@ mod tests {
         fn holds_key(&self) -> bool {
             self.holds
         }
-
-        fn supports_backend(&self, backend: BrBackend) -> bool {
-            backend == BrBackend::Cmux || self.supports_auto
-        }
-
-        fn name(&self) -> String {
-            format!("advertised-{}", self.inner.index)
-        }
     }
 
     #[test]
-    fn ranking_prefers_backend_capable_then_key_holding_nodes() {
-        let nodes: Vec<Box<dyn ServiceNode>> = vec![
-            AdvertisedNode::boxed(0, false, true), // key only
-            AdvertisedNode::boxed(1, true, false), // backend only
-            AdvertisedNode::boxed(2, true, true),  // backend + key
-        ];
+    fn ranking_prefers_key_holders_then_least_loaded_stable_on_ties() {
+        let nodes: Vec<Box<dyn ServiceNode>> = [false, true, true, false]
+            .into_iter()
+            .enumerate()
+            .map(|(index, holds)| {
+                Box::new(AdvertisedNode {
+                    inner: LocalServiceNode::new(index, Parallelism::serial()),
+                    holds,
+                }) as Box<dyn ServiceNode>
+            })
+            .collect();
         let sched = Scheduler::new(nodes).unwrap();
-        // Auto batch: backend capability dominates, then key residency,
-        // so the backend-less key holder sinks to last.
-        assert_eq!(
-            sched.inner.ranked_dispatchable(BrBackend::Auto),
-            vec![2, 1, 0]
-        );
-        // CMUX batch: every node is capable; key holders first, stable
-        // on ties.
-        assert_eq!(
-            sched.inner.ranked_dispatchable(BrBackend::Cmux),
-            vec![0, 2, 1]
-        );
-    }
-
-    #[test]
-    fn auto_batch_lands_on_the_capable_node_without_fallback() {
-        let fix = fixture();
-        let mut rng = StdRng::seed_from_u64(6);
-        let sk = SecretKey::generate(&fix.ctx, &mut rng);
-        let auto_boot = Arc::new(Bootstrapper::generate(
-            &fix.ctx,
-            &sk,
-            BootstrapConfig::test_small().with_backend(BrBackend::Auto),
-            &mut rng,
-        ));
-        let nodes: Vec<Box<dyn ServiceNode>> = vec![
-            AdvertisedNode::boxed(0, false, true),
-            AdvertisedNode::boxed(1, true, true),
-        ];
-        let sched = Scheduler::new(nodes).unwrap();
-        // One LWE → one shard → the top-ranked (auto-capable) node.
-        let accs = sched.execute(&fix.ctx, &auto_boot, &fix.lwes[..1]).unwrap();
-        let reference =
-            auto_boot.blind_rotate_batch_par(&fix.ctx, &fix.lwes[..1], Parallelism::serial());
-        assert_eq!(wire(fix, &accs), wire(fix, &reference));
-        assert_eq!(sched.stats().backend_fallbacks, 0);
-        assert_eq!(
-            sched.inner.ranked_dispatchable(BrBackend::Auto)[0],
-            1,
-            "auto-capable node stays top-ranked"
-        );
-    }
-
-    #[test]
-    fn auto_batch_on_cmux_only_cluster_degrades_to_counted_fallback() {
-        let fix = fixture();
-        let mut rng = StdRng::seed_from_u64(7);
-        let sk = SecretKey::generate(&fix.ctx, &mut rng);
-        let auto_boot = Arc::new(Bootstrapper::generate(
-            &fix.ctx,
-            &sk,
-            BootstrapConfig::test_small().with_backend(BrBackend::Auto),
-            &mut rng,
-        ));
-        let nodes: Vec<Box<dyn ServiceNode>> = vec![
-            AdvertisedNode::boxed(0, false, true),
-            AdvertisedNode::boxed(1, false, true),
-        ];
-        let sched = Scheduler::new(nodes).unwrap();
-        // No node advertises the automorphism backend: the batch still
-        // completes bit-identically, and every shard is counted as a
-        // backend fallback rather than surfacing an error.
-        let accs = sched.execute(&fix.ctx, &auto_boot, &fix.lwes).unwrap();
-        let reference =
-            auto_boot.blind_rotate_batch_par(&fix.ctx, &fix.lwes, Parallelism::serial());
-        assert_eq!(wire(fix, &accs), wire(fix, &reference));
-        let stats = sched.stats();
-        assert_eq!(stats.backend_fallbacks, stats.shards);
-        assert!(stats.backend_fallbacks >= 2, "{stats:?}");
-        // A CMUX batch on the same cluster is not a fallback.
-        let before = sched.stats().backend_fallbacks;
-        sched.execute(&fix.ctx, &fix.boot, &fix.lwes).unwrap();
-        assert_eq!(sched.stats().backend_fallbacks, before);
+        // Idle nodes: key holders first, index order within each group.
+        assert_eq!(sched.inner.ranked_dispatchable(), vec![1, 2, 0, 3]);
+        // Load orders nodes within a key-residency group, but never lifts
+        // a node needing an upload above a key holder.
+        sched.inner.slots[1].inflight.store(5, Ordering::Relaxed);
+        sched.inner.slots[0].inflight.store(2, Ordering::Relaxed);
+        assert_eq!(sched.inner.ranked_dispatchable(), vec![2, 1, 3, 0]);
     }
 
     #[test]

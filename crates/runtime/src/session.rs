@@ -44,7 +44,7 @@ use heap_tfhe::{lwe_batch_from_wire, lwe_batch_to_wire, rlwe_batch_from_wire, rl
 
 use crate::channel::Channel;
 use crate::job::{JobOutput, JobRequest, JobState, Priority, TenantId};
-use crate::remote::{check_hello, hello_payload, read_frame, write_frame, FrameKind};
+use crate::remote::{accept_hello, check_hello, hello_payload, read_frame, write_frame, FrameKind};
 use crate::service::{BootstrapService, SubmitOptions};
 use crate::RuntimeError;
 
@@ -250,16 +250,10 @@ fn run_session(
     stream.set_write_timeout(Some(Duration::from_secs(30)))?;
     let ctx = Arc::clone(service.context());
     let local_hello = hello_payload(&ctx);
-    match read_frame(&mut stream) {
-        Ok((FrameKind::Hello, payload, _)) => {
-            if let Err(why) = check_hello(&local_hello, &payload) {
-                let _ = write_frame(&mut stream, FrameKind::Error, why.as_bytes());
-                return Ok(());
-            }
-            write_frame(&mut stream, FrameKind::HelloAck, &local_hello)?;
-        }
-        _ => return Ok(()),
+    if accept_hello(&mut stream, &local_hello).is_err() {
+        return Ok(());
     }
+    write_frame(&mut stream, FrameKind::HelloAck, &local_hello)?;
     telemetry.open.add(1);
     let _open = OpenSession(Arc::clone(&telemetry.open));
 
@@ -733,5 +727,26 @@ fn decode_job_done(body: &[u8], ctx: &CkksContext) -> Result<JobOutput, RuntimeE
             })
         }
         _ => Err(transport("malformed JobDone frame")),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::preset::{insecure_deterministic_setup, ParamPreset};
+    use crate::remote::probe_oversized_hello;
+    use crate::service::RuntimeConfig;
+
+    #[test]
+    fn oversized_hello_header_is_refused_before_the_handshake() {
+        let setup = insecure_deterministic_setup(ParamPreset::Tiny, 5);
+        let service = Arc::new(
+            BootstrapService::start(setup.ctx, setup.boot, RuntimeConfig::default())
+                .expect("start service"),
+        );
+        let server = SessionServer::serve("127.0.0.1:0", Arc::clone(&service)).expect("serve");
+        probe_oversized_hello(server.addr()).expect("server must refuse the 1 GiB Hello");
+        drop(server);
+        service.shutdown();
     }
 }

@@ -39,10 +39,9 @@ const ACC_ITEM_HEADER: u64 = 12;
 /// Hello/HelloAck payload: u32 n + u32 boot limbs + u64 q0.
 const HELLO_PAYLOAD: u64 = 16;
 /// HelloAck additionally advertises the node's cached key ids
-/// (u32 count + count × u64 id) and a trailing blind-rotate backend
-/// bitmask byte. A pre-keyed `serve` node caches exactly its default
-/// key, so the ack carries one id.
-const HELLO_ACK_IDS: u64 = 4 + 8 + 1;
+/// (u32 count + count × u64 id). A pre-keyed `serve` node caches exactly
+/// its default key, so the ack carries one id.
+const HELLO_ACK_IDS: u64 = 4 + 8;
 /// Every BlindRotateReq payload leads with the u64 evaluation-key id
 /// (0 = the server's default key).
 const KEY_ID: u64 = 8;
@@ -153,11 +152,11 @@ fn measured_loopback_bytes_match_hw_model_exactly() {
 }
 
 #[test]
-fn local_cluster_ledger_agrees_with_remote_measurement_per_ciphertext() {
-    // The modeled per-ciphertext wire sizes `LocalCluster` records must
-    // equal what a remote node's socket measurement attributes per
-    // ciphertext once framing is removed — i.e. the model and the
-    // measurement price the same encoding.
+fn modeled_wire_sizes_agree_with_remote_measurement_per_ciphertext() {
+    // The modeled per-ciphertext wire sizes (`wire_size`) must equal what
+    // a remote node's socket measurement attributes per ciphertext once
+    // framing is removed — i.e. the model and the measurement price the
+    // same encoding.
     let setup = insecure_deterministic_setup(ParamPreset::Tiny, 56);
     let ctx = &setup.ctx;
     let n_t = setup.boot.config().n_t;

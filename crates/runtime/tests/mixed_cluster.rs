@@ -1,21 +1,15 @@
-//! Mixed-backend multi-process E2E: one CMUX-only `heap-node-serve`
-//! process and one automorphism-only process on 127.0.0.1, serving the
-//! same workload stream.
+//! Mixed-key multi-process E2E: two keyless `heap-node-serve` processes
+//! on 127.0.0.1 serving a CMUX-keyed and an automorphism-keyed batch
+//! stream through one cluster.
 //!
-//! Acceptance tests for the runtime-selectable blind-rotate backend at
-//! process scope:
+//! Every node runs both blind-rotate datapaths; the backend byte of each
+//! uploaded `EKS1` key container selects the one a batch uses. The test
+//! asserts that:
 //!
-//! - each node's `--backend` restriction is advertised in its
-//!   `HelloAck` and visible on the connected [`RemoteNode`];
-//! - key containers for *both* variants cross the wire (the ledger sees
-//!   the full container bytes), and a container generated for a backend
-//!   a node does not serve is refused with a typed error while the
-//!   session survives;
-//! - a batch stream keyed for either backend completes **bit-identical**
-//!   to the client's local reference through the mixed cluster — the
-//!   scheduler routes shards to the capable node, counts dispatches to
-//!   the incapable one as backend fallbacks, and reassigns the shards
-//!   that node refuses.
+//! - key containers for *both* variants cross the wire (the ledger's key
+//!   frames carry the full container bytes of each);
+//! - each stream completes **bit-identical** to the client's local
+//!   reference.
 
 use std::io::{BufRead, BufReader};
 use std::process::{Child, Command, Stdio};
@@ -24,8 +18,7 @@ use std::sync::Arc;
 use heap_core::TransferLedger;
 use heap_runtime::{
     keyed_setup_backend, BatchPolicy, BootstrapService, BrBackend, JobRequest, KeyedSetup,
-    NodeError, NodeTimeouts, ParamPreset, Priority, RemoteNode, RetryPolicy, RuntimeConfig,
-    ServiceNode, BACKEND_AUTO, BACKEND_CMUX,
+    NodeTimeouts, ParamPreset, Priority, RemoteNode, RuntimeConfig, ServiceNode,
 };
 
 struct NodeProc {
@@ -40,9 +33,8 @@ impl Drop for NodeProc {
     }
 }
 
-/// Spawns a keyless node restricted to `backend` and waits for its
-/// `LISTENING` readiness line.
-fn spawn_backend_node(backend: &str) -> NodeProc {
+/// Spawns a keyless node and waits for its `LISTENING` readiness line.
+fn spawn_keyless_node() -> NodeProc {
     let mut child = Command::new(env!("CARGO_BIN_EXE_heap-node-serve"))
         .args([
             "--addr",
@@ -51,8 +43,6 @@ fn spawn_backend_node(backend: &str) -> NodeProc {
             "tiny",
             "--threads",
             "2",
-            "--backend",
-            backend,
         ])
         .stdout(Stdio::piped())
         .stderr(Stdio::null())
@@ -71,104 +61,15 @@ fn spawn_backend_node(backend: &str) -> NodeProc {
     NodeProc { child, addr }
 }
 
-fn test_lwes(setup: &KeyedSetup, count: usize, salt: u64) -> Vec<heap_tfhe::LweCiphertext> {
-    let n_t = setup.boot.config().n_t;
-    let two_n = 2 * setup.ctx.n() as u64;
-    (0..count)
-        .map(|i| heap_tfhe::LweCiphertext {
-            a: (0..n_t)
-                .map(|j| ((i as u64) * 29 + j as u64 + salt) % two_n)
-                .collect(),
-            b: (i as u64 + salt) % two_n,
-            modulus: two_n,
-        })
-        .collect()
-}
-
-#[test]
-fn backend_restricted_processes_advertise_and_refuse_foreign_keys() {
-    let cmux_proc = spawn_backend_node("cmux");
-    let auto_proc = spawn_backend_node("auto");
-    let setup_auto = keyed_setup_backend(ParamPreset::Tiny, 61, BrBackend::Auto);
-    let setup_cmux = keyed_setup_backend(ParamPreset::Tiny, 62, BrBackend::Cmux);
-
-    // The HelloAck advertisement reflects each process's --backend flag.
-    let ledger = Arc::new(TransferLedger::default());
-    let auto_node = RemoteNode::connect_with_ledger(
-        &auto_proc.addr,
-        &setup_auto.ctx,
-        NodeTimeouts::default(),
-        Arc::clone(&ledger),
-    )
-    .expect("connect auto node")
-    .with_key(Arc::clone(&setup_auto.key));
-    let cmux_node = RemoteNode::connect(&cmux_proc.addr, &setup_cmux.ctx)
-        .expect("connect cmux node")
-        .with_key(Arc::clone(&setup_auto.key));
-    assert_eq!(auto_node.advertised_backends(), BACKEND_AUTO);
-    assert_eq!(cmux_node.advertised_backends(), BACKEND_CMUX);
-    assert!(auto_node.supports_backend(BrBackend::Auto));
-    assert!(!auto_node.supports_backend(BrBackend::Cmux));
-    assert!(!cmux_node.supports_backend(BrBackend::Auto));
-
-    // The auto container is refused by the CMUX-only process with a
-    // typed remote error...
-    let lwes = test_lwes(&setup_auto, 3, 7);
-    let err = cmux_node
-        .try_blind_rotate_batch(&setup_auto.ctx, &setup_auto.boot, &lwes)
-        .expect_err("cmux-only node must refuse the auto container");
-    match err {
-        NodeError::Remote(why) => assert!(why.contains("not served"), "{why}"),
-        other => panic!("expected a Remote refusal, got {other:?}"),
-    }
-
-    // ...and the session survives: a CMUX-keyed batch on the *same*
-    // connection flows end to end, bit-identical to local keys.
-    let cmux_node = cmux_node.with_key(Arc::clone(&setup_cmux.key));
-    let lwes_c = test_lwes(&setup_cmux, 3, 11);
-    let remote = cmux_node
-        .try_blind_rotate_batch(&setup_cmux.ctx, &setup_cmux.boot, &lwes_c)
-        .expect("cmux batch after refusal");
-    let local = setup_cmux.boot.blind_rotate_batch_par(
-        &setup_cmux.ctx,
-        &lwes_c,
-        heap_parallel::Parallelism::serial(),
-    );
-    let moduli: Vec<u64> = (0..setup_cmux.ctx.boot_limbs())
-        .map(|j| setup_cmux.ctx.rns().modulus(j).value())
-        .collect();
-    for (r, l) in remote.iter().zip(&local) {
-        assert_eq!(r.to_wire(&moduli), l.to_wire(&moduli));
-    }
-
-    // The auto node accepts its own variant; the full ABK container
-    // crossed the wire exactly once.
-    let remote = auto_node
-        .try_blind_rotate_batch(&setup_auto.ctx, &setup_auto.boot, &lwes)
-        .expect("auto batch on auto node");
-    let local = setup_auto.boot.blind_rotate_batch_par(
-        &setup_auto.ctx,
-        &lwes,
-        heap_parallel::Parallelism::serial(),
-    );
-    for (r, l) in remote.iter().zip(&local) {
-        assert_eq!(r.to_wire(&moduli), l.to_wire(&moduli));
-    }
-    assert!(
-        ledger.key_bytes_sent() >= setup_auto.key.bytes.len() as u64,
-        "auto key container never crossed the wire"
-    );
-    auto_node.shutdown();
-    cmux_node.shutdown();
-}
-
-/// Drives one keyed batch stream through the two-process mixed cluster
-/// and asserts bit-identity against the local reference.
+/// Drives one keyed batch stream through the two-process cluster, every
+/// socket recording into `ledger`, and asserts bit-identity against the
+/// local reference.
 fn run_stream_through_mixed_cluster(
     setup: &KeyedSetup,
     procs: &[NodeProc],
+    ledger: &Arc<TransferLedger>,
     rounds: usize,
-) -> heap_runtime::SchedulerStats {
+) {
     let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(23);
     let delta = setup.ctx.fresh_scale();
     let coeffs: Vec<i64> = (0..setup.ctx.n())
@@ -183,9 +84,14 @@ fn run_stream_through_mixed_cluster(
         .iter()
         .map(|p| {
             Box::new(
-                RemoteNode::connect(&p.addr, &setup.ctx)
-                    .expect("connect")
-                    .with_key(Arc::clone(&setup.key)),
+                RemoteNode::connect_with_ledger(
+                    &p.addr,
+                    &setup.ctx,
+                    NodeTimeouts::default(),
+                    Arc::clone(ledger),
+                )
+                .expect("connect")
+                .with_key(Arc::clone(&setup.key)),
             ) as Box<dyn ServiceNode>
         })
         .collect();
@@ -196,7 +102,6 @@ fn run_stream_through_mixed_cluster(
         RuntimeConfig {
             queue_capacity: 8,
             batch: BatchPolicy::immediate(),
-            retry: RetryPolicy::default(),
             ..RuntimeConfig::default()
         },
     )
@@ -211,30 +116,25 @@ fn run_stream_through_mixed_cluster(
         assert_eq!(fresh.c0(), reference.c0(), "round {round}");
         assert_eq!(fresh.c1(), reference.c1(), "round {round}");
     }
-    let stats = svc.stats();
-    assert_eq!(stats.completed, rounds as u64);
+    assert_eq!(svc.stats().completed, rounds as u64);
     svc.shutdown();
-    stats.scheduler
 }
 
 #[test]
 fn both_backend_streams_complete_bit_identically_on_the_mixed_cluster() {
-    let procs = [spawn_backend_node("cmux"), spawn_backend_node("auto")];
-
-    // The CMUX stream: the auto-only node refuses its key, so shards
-    // dispatched there get reassigned to the CMUX node — bit-identity
-    // must hold regardless.
+    let procs = [spawn_keyless_node(), spawn_keyless_node()];
+    let ledger = Arc::new(TransferLedger::default());
     let setup_cmux = keyed_setup_backend(ParamPreset::Tiny, 71, BrBackend::Cmux);
-    run_stream_through_mixed_cluster(&setup_cmux, &procs, 2);
-
-    // The auto stream through the same cluster: shards land on the
-    // capable node first (it ranks above the incapable one), and any
-    // dispatch to the CMUX-only node is a *counted* fallback, never a
-    // batch failure.
+    run_stream_through_mixed_cluster(&setup_cmux, &procs, &ledger, 2);
     let setup_auto = keyed_setup_backend(ParamPreset::Tiny, 72, BrBackend::Auto);
-    let stats = run_stream_through_mixed_cluster(&setup_auto, &procs, 2);
+    run_stream_through_mixed_cluster(&setup_auto, &procs, &ledger, 2);
+
+    // Both containers were uploaded: the key frames carry at least the
+    // full bytes of each variant.
+    let containers = (setup_cmux.key.bytes.len() + setup_auto.key.bytes.len()) as u64;
     assert!(
-        stats.backend_fallbacks <= stats.shards,
-        "fallback counter cannot exceed dispatched shards"
+        ledger.key_bytes_sent() >= containers,
+        "key frames carried {} bytes, the two containers are {containers}",
+        ledger.key_bytes_sent()
     );
 }

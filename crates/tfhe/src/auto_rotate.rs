@@ -90,7 +90,7 @@ impl BrBackend {
         }
     }
 
-    /// Lower-case name, as used by `--backend` and bench rows.
+    /// Lower-case name, as used in bench rows and diagnostics.
     pub const fn name(self) -> &'static str {
         match self {
             BrBackend::Cmux => "cmux",

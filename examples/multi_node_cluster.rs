@@ -3,22 +3,36 @@
 //! ledger mirroring the primary/secondary FPGA traffic, plus the
 //! accelerator model's predicted times at the paper's full scale.
 //!
+//! Node 0 is the primary and computes in-process; every other node is a
+//! loopback `serve` secondary whose socket traffic lands in the ledger.
+//!
 //! ```sh
 //! cargo run --release --example multi_node_cluster
 //! ```
 
-use heap::ckks::{CkksContext, CkksParams, SecretKey};
-use heap::core::{BootstrapConfig, Bootstrapper, LocalCluster};
-use heap::hw::perf::BootstrapModel;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use std::net::TcpListener;
+use std::sync::Arc;
 use std::time::Instant;
 
+use heap::ckks::{CkksContext, CkksParams, SecretKey};
+use heap::core::{BootstrapConfig, Bootstrapper, Parallelism, TransferLedger};
+use heap::hw::perf::BootstrapModel;
+use heap::runtime::{
+    serve, LocalServiceNode, NodeTimeouts, RemoteNode, Scheduler, ServeOptions, ServiceNode,
+};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+
 fn main() {
-    let ctx = CkksContext::new(CkksParams::test_tiny());
+    let ctx = Arc::new(CkksContext::new(CkksParams::test_tiny()));
     let mut rng = StdRng::seed_from_u64(99);
     let sk = SecretKey::generate(&ctx, &mut rng);
-    let boot = Bootstrapper::generate(&ctx, &sk, BootstrapConfig::test_small(), &mut rng);
+    let boot = Arc::new(Bootstrapper::generate(
+        &ctx,
+        &sk,
+        BootstrapConfig::test_small(),
+        &mut rng,
+    ));
 
     let delta = ctx.fresh_scale();
     let msg: Vec<f64> = (0..ctx.n())
@@ -26,6 +40,7 @@ fn main() {
         .collect();
     let coeffs: Vec<i64> = msg.iter().map(|m| (m * delta).round() as i64).collect();
     let ct = ctx.encrypt_coeffs_sk(&coeffs, delta, 1, &sk, &mut rng);
+    let indices: Vec<usize> = (0..ctx.n()).collect();
 
     println!(
         "== functional cluster execution (N = {} blind rotations) ==",
@@ -34,9 +49,35 @@ fn main() {
     println!("(wall-clock speedup requires multiple cores; the point here is");
     println!(" the primary/secondary schedule, transfer ledger, and identical results)");
     for nodes in [1usize, 2, 4, 8] {
-        let cluster = LocalCluster::new(nodes);
+        let per_node = Parallelism::with_threads(Parallelism::max().threads / nodes);
+        let ledger = Arc::new(TransferLedger::default());
+        let mut cluster: Vec<Box<dyn ServiceNode>> =
+            vec![Box::new(LocalServiceNode::new(0, per_node))];
+        for _ in 1..nodes {
+            let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+            let addr = listener.local_addr().expect("local addr").to_string();
+            let opts = ServeOptions {
+                parallelism: per_node,
+                ..ServeOptions::default()
+            };
+            {
+                let (ctx, boot) = (Arc::clone(&ctx), Arc::clone(&boot));
+                std::thread::spawn(move || serve(listener, ctx, boot, opts));
+            }
+            let remote = RemoteNode::connect_with_ledger(
+                &addr,
+                &ctx,
+                NodeTimeouts::default(),
+                Arc::clone(&ledger),
+            )
+            .expect("connect");
+            cluster.push(Box::new(remote));
+        }
+        let sched = Scheduler::new(cluster).expect("scheduler");
         let t = Instant::now();
-        let fresh = boot.bootstrap_with_cluster(&ctx, &ct, &cluster);
+        let lwes = boot.modulus_switch(&ctx, &boot.extract_lwes(&ctx, &ct, &indices));
+        let rotated = sched.execute(&ctx, &boot, &lwes).expect("blind rotation");
+        let fresh = boot.finish(&ctx, boot.to_leaves(&ctx, &rotated, &indices), ct.scale());
         let dt = t.elapsed().as_secs_f64();
         let dec = ctx.decrypt_coeffs(&fresh, &sk);
         let err = dec
@@ -45,9 +86,11 @@ fn main() {
             .map(|(d, m)| (d / fresh.scale() - m).abs())
             .fold(0.0f64, f64::max);
         println!(
-            "  {nodes} node(s): {dt:.2}s, scattered {} LWEs, gathered {} results, max err {err:.4}",
-            cluster.ledger().lwe_sent(),
-            cluster.ledger().rlwe_received(),
+            "  {nodes} node(s): {dt:.2}s, scattered {} LWEs ({} B), gathered {} results ({} B), max err {err:.4}",
+            ledger.lwe_sent(),
+            ledger.lwe_bytes_sent(),
+            ledger.rlwe_received(),
+            ledger.rlwe_bytes_received(),
         );
     }
 

@@ -4,9 +4,16 @@
 //! and consistency checks between the functional stack and the hardware
 //! model.
 
+use std::net::TcpListener;
+use std::sync::Arc;
+
 use heap::ckks::{CkksContext, CkksParams, RelinearizationKey, SecretKey};
-use heap::core::{BootstrapConfig, Bootstrapper, ErrorStats, LocalCluster};
+use heap::core::{BootstrapConfig, Bootstrapper, ErrorStats, Parallelism, TransferLedger};
 use heap::hw::perf::BootstrapModel;
+use heap::runtime::{
+    serve, BatchPolicy, BootstrapService, JobRequest, LocalServiceNode, NodeTimeouts, Priority,
+    RemoteNode, RuntimeConfig, Scheduler, ServeOptions, ServiceNode,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -63,14 +70,35 @@ fn cluster_and_single_node_agree() {
     let ct = ctx.encrypt_coeffs_sk(&coeffs, delta, 1, &sk, &mut rng);
 
     let single = boot.bootstrap(&ctx, &ct);
-    let cluster = LocalCluster::new(3);
-    let multi = boot.bootstrap_with_cluster(&ctx, &ct, &cluster);
+    let nodes: Vec<Box<dyn ServiceNode>> = (0..3)
+        .map(|i| Box::new(LocalServiceNode::new(i, Parallelism::default())) as Box<dyn ServiceNode>)
+        .collect();
+    let ctx = Arc::new(ctx);
+    let svc = BootstrapService::start_with_nodes(
+        Arc::clone(&ctx),
+        Arc::new(boot),
+        nodes,
+        RuntimeConfig {
+            batch: BatchPolicy::immediate(),
+            ..RuntimeConfig::default()
+        },
+    )
+    .expect("start service");
+    let multi = svc
+        .submit(JobRequest::Bootstrap { ct }, Priority::Normal)
+        .expect("submit")
+        .wait()
+        .expect("clustered bootstrap")
+        .into_ciphertext();
+    let shards = svc.stats().scheduler.shards;
+    svc.shutdown();
 
     // Deterministic pipeline: identical results regardless of node count.
-    let a = ctx.decrypt_coeffs(&single, &sk);
-    let b = ctx.decrypt_coeffs(&multi, &sk);
-    assert_eq!(a, b, "cluster execution must be bit-identical");
-    assert!(cluster.ledger().lwe_sent() > 0);
+    assert!(
+        multi.c0() == single.c0() && multi.c1() == single.c1(),
+        "cluster execution must be bit-identical"
+    );
+    assert_eq!(shards, 3, "the batch was spread over all three nodes");
 }
 
 #[test]
@@ -126,12 +154,41 @@ fn hardware_model_consistent_with_functional_ledger() {
     let coeffs = vec![(0.05 * delta) as i64; ctx.n()];
     let ct = ctx.encrypt_coeffs_sk(&coeffs, delta, 1, &sk, &mut rng);
 
+    // The primary computes in-process; three secondaries are loopback
+    // `serve` nodes whose sockets all record into one ledger.
     let nodes = 4usize;
-    let cluster = LocalCluster::new(nodes);
-    let _ = boot.bootstrap_with_cluster(&ctx, &ct, &cluster);
-    let scattered = cluster.ledger().lwe_sent() as usize;
+    let (ctx, boot) = (Arc::new(ctx), Arc::new(boot));
+    let ledger = Arc::new(TransferLedger::default());
+    let mut cluster: Vec<Box<dyn ServiceNode>> =
+        vec![Box::new(LocalServiceNode::new(0, Parallelism::default()))];
+    for _ in 1..nodes {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+        let addr = listener.local_addr().expect("local addr").to_string();
+        {
+            let (ctx, boot) = (Arc::clone(&ctx), Arc::clone(&boot));
+            std::thread::spawn(move || serve(listener, ctx, boot, ServeOptions::default()));
+        }
+        let remote = RemoteNode::connect_with_ledger(
+            &addr,
+            &ctx,
+            NodeTimeouts::default(),
+            Arc::clone(&ledger),
+        )
+        .expect("connect");
+        cluster.push(Box::new(remote));
+    }
+    let sched = Scheduler::new(cluster).expect("scheduler");
+    let indices: Vec<usize> = (0..ctx.n()).collect();
+    let lwes = boot.modulus_switch(&ctx, &boot.extract_lwes(&ctx, &ct, &indices));
+    let rotated = sched
+        .execute(&ctx, &boot, &lwes)
+        .expect("clustered blind rotation");
+    let fresh = boot.finish(&ctx, boot.to_leaves(&ctx, &rotated, &indices), ct.scale());
+    assert_eq!(fresh.c0(), boot.bootstrap(&ctx, &ct).c0());
+    let scattered = ledger.lwe_sent() as usize;
     let per_node = ctx.n().div_ceil(nodes);
     assert_eq!(scattered, ctx.n() - per_node, "all but the primary's chunk");
+    assert_eq!(ledger.rlwe_received(), ledger.lwe_sent());
 
     // Model side: a schedule exists and communication is overlapped.
     let model = BootstrapModel::paper();
