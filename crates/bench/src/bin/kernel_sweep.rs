@@ -10,16 +10,23 @@
 //!   ([`heap_math::NttTable::forward_lazy_scalar`], the `u128`-MAC
 //!   external product, the restructured CMux with SIMD force-disabled);
 //! - `simd` — the dispatching kernels on the active vector backend
-//!   (AVX2/NEON lazy butterflies, the Shoup-precomputed u64 FMA external
-//!   product). On a host without a vector unit this column equals the
-//!   scalar column and the reported backend is `scalar`.
+//!   (AVX2/NEON lazy butterflies; the prepared-key external product, which
+//!   takes the narrow u64 MAC for limbs below `2^30` and the
+//!   Shoup-precomputed u64 MAC above). On a host without a vector unit the
+//!   NTT columns are equal and the reported backend is `scalar`.
 //!
-//! Rows: `ntt_forward` / `ntt_inverse` at `n ∈ {2^10, 2^13}`,
-//! `external_product` at `n = 2^13` over the paper's gadget (`d = 2`,
-//! base `2^18`), and `blind_rotate` swept over the LWE mask length
-//! `n_mask ∈ {4, 8, 16, 32}` on **both** blind-rotate backends (`cmux`
-//! and `auto`), each row carrying the seed-expandable wire size of its
-//! backend's rotation key, plus the key-major batch schedule.
+//! Rows, for two shapes (`limb_bits` tells them apart):
+//!
+//! - the paper's raised basis — `ntt_forward` / `ntt_inverse` at
+//!   `n ∈ {2^10, 2^13}` over a 36-bit prime, `external_product` at
+//!   `n = 2^13` over two 36-bit limbs and the paper's gadget (`d = 2`,
+//!   base `2^18`), `blind_rotate` swept over the LWE mask length
+//!   `n_mask ∈ {4, 8, 16, 32}` on **both** blind-rotate backends (`cmux`
+//!   and `auto`), each row carrying the seed-expandable wire size of its
+//!   backend's rotation key, plus the key-major batch schedule;
+//! - the Tiny preset the repository benchmark rotates over — `N = 128`,
+//!   four 28-bit limbs, `d = 2` / base `2^15`, `n_mask = 32`: the NTTs,
+//!   the external product and both blind-rotate backends (narrow class).
 //!
 //! Every pair of tiers is also asserted bit-identical here, so a speedup
 //! row can never come from a divergent datapath (the exhaustive parity
@@ -49,6 +56,8 @@ use rand::{Rng, SeedableRng};
 struct Row {
     kernel: &'static str,
     n: usize,
+    /// Bit width of every RNS limb (the operand class the kernels run).
+    limb_bits: u32,
     /// LWE mask length for the blind-rotate rows (0 elsewhere).
     n_mask: usize,
     /// Blind-rotate datapath for the rotation rows (`"-"` elsewhere).
@@ -90,9 +99,10 @@ fn measure_ns<F: FnMut()>(iters: usize, mut f: F) -> f64 {
 
 fn print_row(r: &Row) {
     println!(
-        "{:<28} {:>6} {:>6} {:>7} {:>9} {:>5} {:>13.0} {:>13.0} {:>13.0} {:>8.2}x {:>8.2}x",
+        "{:<28} {:>6} {:>4} {:>6} {:>7} {:>9} {:>5} {:>13.0} {:>13.0} {:>13.0} {:>8.2}x {:>8.2}x",
         r.kernel,
         r.n,
+        r.limb_bits,
         r.n_mask,
         r.backend,
         r.key_bytes,
@@ -105,9 +115,10 @@ fn print_row(r: &Row) {
     );
 }
 
-/// NTT rows for one ring size: forward and inverse, three tiers each.
-fn ntt_rows(n: usize, rows: &mut Vec<Row>) {
-    let q = Modulus::new(ntt_primes(n as u64, 36, 1)[0]).expect("valid NTT prime");
+/// NTT rows for one ring size and limb width: forward and inverse, three
+/// tiers each.
+fn ntt_rows(n: usize, limb_bits: u32, rows: &mut Vec<Row>) {
+    let q = Modulus::new(ntt_primes(n as u64, limb_bits, 1)[0]).expect("valid NTT prime");
     let table = NttTable::new(n, q);
     let mut rng = StdRng::seed_from_u64(n as u64);
     let base: Vec<u64> = (0..n).map(|_| rng.gen_range(0..q.value())).collect();
@@ -135,6 +146,7 @@ fn ntt_rows(n: usize, rows: &mut Vec<Row>) {
     rows.push(Row {
         kernel: "ntt_forward",
         n,
+        limb_bits,
         n_mask: 0,
         backend: "-",
         key_bytes: 0,
@@ -149,6 +161,7 @@ fn ntt_rows(n: usize, rows: &mut Vec<Row>) {
     rows.push(Row {
         kernel: "ntt_inverse",
         n,
+        limb_bits,
         n_mask: 0,
         backend: "-",
         key_bytes: 0,
@@ -159,45 +172,76 @@ fn ntt_rows(n: usize, rows: &mut Vec<Row>) {
     });
 }
 
-fn main() {
-    // Single-thread on purpose: the sweep isolates datapath wins from
-    // scheduling wins (BENCH_parallel.json covers the latter).
-    heap_parallel::set_global_threads(1);
-    let host_cores = heap_parallel::available_threads();
-    let backend = heap_math::simd::active().name();
-    println!("kernel_sweep: single-threaded, host cores = {host_cores}, simd backend = {backend}");
-    println!();
-    println!(
-        "{:<28} {:>6} {:>6} {:>7} {:>9} {:>5} {:>13} {:>13} {:>13} {:>9} {:>9}",
-        "kernel",
-        "n",
-        "n_mask",
-        "backend",
-        "key B",
-        "ops",
-        "reference ns",
-        "scalar ns",
-        "simd ns",
-        "simd x",
-        "total x"
-    );
+/// One TFHE kernel shape: ring, RNS basis, gadget, the LWE mask lengths
+/// swept by the blind-rotate rows, and how many back-to-back calls each
+/// timing loop runs (small rings need more to rise above timer noise).
+struct Shape {
+    n: usize,
+    limb_bits: u32,
+    limbs: usize,
+    params: RgswParams,
+    masks: &'static [usize],
+    ep_iters: usize,
+    rotate_iters: usize,
+    /// Whether to emit the key-major batch row for this shape.
+    batch: bool,
+    seed: u64,
+}
 
-    let mut rows = Vec::new();
-    for n in [1usize << 10, 1 << 13] {
-        ntt_rows(n, &mut rows);
-    }
+/// The raised-basis shape of the paper's parameters: `n = 2^13`, two
+/// 36-bit limbs, paper gadget `d = 2` / `2^18`.
+const PAPER: Shape = Shape {
+    n: 1 << 13,
+    limb_bits: 36,
+    limbs: 2,
+    params: RgswParams {
+        base_bits: 18,
+        digits: 2,
+    },
+    masks: &[4, 8, 16, 32],
+    ep_iters: 2,
+    rotate_iters: 1,
+    batch: true,
+    seed: 2024,
+};
 
-    // Shared n = 2^13 TFHE setup for the product/rotation rows: two
-    // 36-bit limbs (the raised-basis shape), paper gadget d = 2 / 2^18.
-    let n = 1usize << 13;
-    let ctx = RnsContext::new(n, &ntt_primes(n as u64, 36, 2));
-    let limbs = 2;
-    let params = RgswParams::paper();
-    let mut rng = StdRng::seed_from_u64(2024);
+/// The shape the repository benchmark's `refresh` workload rotates over
+/// (Tiny preset): `N = 128`, four 28-bit limbs, `d = 2` / `2^15`,
+/// `n_mask = 32`.
+const TINY: Shape = Shape {
+    n: 128,
+    limb_bits: 28,
+    limbs: 4,
+    params: RgswParams {
+        base_bits: 15,
+        digits: 2,
+    },
+    masks: &[32],
+    ep_iters: 400,
+    rotate_iters: 20,
+    batch: false,
+    seed: 128,
+};
+
+/// External-product, blind-rotate (both backends) and optional key-major
+/// batch rows for one shape.
+fn tfhe_rows(shape: &Shape, rows: &mut Vec<Row>) {
+    let Shape {
+        n,
+        limb_bits,
+        limbs,
+        params,
+        ep_iters,
+        rotate_iters,
+        ..
+    } = *shape;
+    let ctx = RnsContext::new(n, &ntt_primes(n as u64, limb_bits, limbs));
+    let mut rng = StdRng::seed_from_u64(shape.seed);
     let ring_sk = RingSecretKey::generate(&ctx, limbs, &mut rng);
 
     // External product row: strict oracle vs u128-MAC scalar path vs the
-    // Shoup-precomputed (PreparedRgsw) SIMD path.
+    // prepared-key dispatching path (narrow u64 MAC for limbs below 2^30,
+    // Shoup-precomputed SIMD MAC above).
     let msg: Vec<i64> = (0..n).map(|i| ((i % 97) as i64) - 48).collect();
     let ct = RlweCiphertext::encrypt(
         &ctx,
@@ -220,20 +264,21 @@ fn main() {
         out.a == oracle.a && out.b == oracle.b,
         "lazy external product diverged"
     );
-    let reference_ns = measure_ns(2, || {
+    let reference_ns = measure_ns(ep_iters, || {
         std::hint::black_box(external_product_reference(&ct, &rgsw, &ctx, &params));
     });
     heap_math::simd::force_scalar(true);
-    let scalar_ns = measure_ns(2, || {
+    let scalar_ns = measure_ns(ep_iters, || {
         external_product_into(&ct, &rgsw, &ctx, &params, &mut scratch, &mut out);
     });
     heap_math::simd::force_scalar(false);
-    let simd_ns = measure_ns(2, || {
+    let simd_ns = measure_ns(ep_iters, || {
         external_product_prepared_into(&ct, &rgsw, &prep, &ctx, &params, &mut scratch, &mut out);
     });
     rows.push(Row {
         kernel: "external_product",
         n,
+        limb_bits,
         n_mask: 0,
         backend: "-",
         key_bytes: 0,
@@ -251,11 +296,11 @@ fn main() {
     // bit-identical, so its parity is asserted against itself (native vs
     // forced-scalar) and proven against the oracle in
     // `tests/auto_parity.rs`. SIMD is toggled around the whole rotation,
-    // so the scalar tier runs the scalar lazy NTT + u128 MAC end to end.
+    // so the scalar tier runs the scalar kernels end to end.
     let two_n = 2 * n as u64;
     let f = test_polynomial_from_fn(&ctx, limbs, |u| u << 40);
     let moduli: Vec<u64> = (0..limbs).map(|j| ctx.modulus(j).value()).collect();
-    for n_mask in [4usize, 8, 16, 32] {
+    for &n_mask in shape.masks {
         let lwe_sk = LweSecretKey::generate(&mut rng, n_mask);
         let brk = BlindRotateKey::generate(&ctx, &lwe_sk, &ring_sk, limbs, params, &mut rng);
         let abk = AutoBlindRotateKey::generate(&ctx, &lwe_sk, &ring_sk, limbs, params, &mut rng);
@@ -271,20 +316,21 @@ fn main() {
             opt_single.a == ref_single.a && opt_single.b == ref_single.b,
             "restructured CMux diverged at n_mask = {n_mask}"
         );
-        let reference_ns = measure_ns(1, || {
+        let reference_ns = measure_ns(rotate_iters, || {
             std::hint::black_box(brk.blind_rotate_reference(&ctx, &f, &lwe));
         });
         heap_math::simd::force_scalar(true);
-        let scalar_ns = measure_ns(1, || {
+        let scalar_ns = measure_ns(rotate_iters, || {
             std::hint::black_box(brk.blind_rotate(&ctx, &f, &lwe));
         });
         heap_math::simd::force_scalar(false);
-        let simd_ns = measure_ns(1, || {
+        let simd_ns = measure_ns(rotate_iters, || {
             std::hint::black_box(brk.blind_rotate(&ctx, &f, &lwe));
         });
         rows.push(Row {
             kernel: "blind_rotate",
             n,
+            limb_bits,
             n_mask,
             backend: "cmux",
             key_bytes: brk_wire_size(n_mask, n, params.digits, &moduli, true),
@@ -297,7 +343,7 @@ fn main() {
         let auto_native = abk.blind_rotate(&ctx, &f, &lwe);
         heap_math::simd::force_scalar(true);
         let auto_scalar_out = abk.blind_rotate(&ctx, &f, &lwe);
-        let auto_scalar_ns = measure_ns(1, || {
+        let auto_scalar_ns = measure_ns(rotate_iters, || {
             std::hint::black_box(abk.blind_rotate(&ctx, &f, &lwe));
         });
         heap_math::simd::force_scalar(false);
@@ -305,12 +351,13 @@ fn main() {
             auto_native.a == auto_scalar_out.a && auto_native.b == auto_scalar_out.b,
             "auto rotation diverged between SIMD dispatches at n_mask = {n_mask}"
         );
-        let auto_simd_ns = measure_ns(1, || {
+        let auto_simd_ns = measure_ns(rotate_iters, || {
             std::hint::black_box(abk.blind_rotate(&ctx, &f, &lwe));
         });
         rows.push(Row {
             kernel: "blind_rotate",
             n,
+            limb_bits,
             n_mask,
             backend: "auto",
             key_bytes: abk_wire_size(n_mask, n, params.digits, &moduli, true),
@@ -321,6 +368,9 @@ fn main() {
         });
     }
 
+    if !shape.batch {
+        return;
+    }
     // Key-major batch row: the CMUX batch schedule, 8 mask elements,
     // 4 LWEs per call.
     let n_t = 8;
@@ -339,22 +389,23 @@ fn main() {
         let r = brk.blind_rotate_reference(&ctx, &f, lwe);
         assert!(o.a == r.a && o.b == r.b, "key-major batch diverged");
     }
-    let reference_ns = measure_ns(1, || {
+    let reference_ns = measure_ns(rotate_iters, || {
         for lwe in &lwes {
             std::hint::black_box(brk.blind_rotate_reference(&ctx, &f, lwe));
         }
     });
     heap_math::simd::force_scalar(true);
-    let scalar_ns = measure_ns(1, || {
+    let scalar_ns = measure_ns(rotate_iters, || {
         std::hint::black_box(brk.blind_rotate_batch_key_major(&ctx, &f, &lwes));
     });
     heap_math::simd::force_scalar(false);
-    let simd_ns = measure_ns(1, || {
+    let simd_ns = measure_ns(rotate_iters, || {
         std::hint::black_box(brk.blind_rotate_batch_key_major(&ctx, &f, &lwes));
     });
     rows.push(Row {
         kernel: "blind_rotate_batch_key_major",
         n,
+        limb_bits,
         n_mask: n_t,
         backend: "cmux",
         key_bytes: brk_wire_size(n_t, n, params.digits, &moduli, true),
@@ -363,6 +414,39 @@ fn main() {
         scalar_ns,
         simd_ns,
     });
+}
+
+fn main() {
+    // Single-thread on purpose: the sweep isolates datapath wins from
+    // scheduling wins (BENCH_parallel.json covers the latter).
+    heap_parallel::set_global_threads(1);
+    let host_cores = heap_parallel::available_threads();
+    let backend = heap_math::simd::active().name();
+    println!("kernel_sweep: single-threaded, host cores = {host_cores}, simd backend = {backend}");
+    println!();
+    println!(
+        "{:<28} {:>6} {:>4} {:>6} {:>7} {:>9} {:>5} {:>13} {:>13} {:>13} {:>9} {:>9}",
+        "kernel",
+        "n",
+        "bits",
+        "n_mask",
+        "backend",
+        "key B",
+        "ops",
+        "reference ns",
+        "scalar ns",
+        "simd ns",
+        "simd x",
+        "total x"
+    );
+
+    let mut rows = Vec::new();
+    for n in [1usize << 10, 1 << 13] {
+        ntt_rows(n, 36, &mut rows);
+    }
+    tfhe_rows(&PAPER, &mut rows);
+    ntt_rows(TINY.n, TINY.limb_bits, &mut rows);
+    tfhe_rows(&TINY, &mut rows);
 
     for r in &rows {
         print_row(r);
@@ -372,12 +456,13 @@ fn main() {
         .iter()
         .map(|r| {
             format!(
-                "    {{\"kernel\": \"{}\", \"n\": {}, \"n_mask\": {}, \"backend\": \"{}\", \
-                 \"key_bytes\": {}, \"ops\": {}, \"reference_ns\": {:.0}, \
+                "    {{\"kernel\": \"{}\", \"n\": {}, \"limb_bits\": {}, \"n_mask\": {}, \
+                 \"backend\": \"{}\", \"key_bytes\": {}, \"ops\": {}, \"reference_ns\": {:.0}, \
                  \"scalar_ns\": {:.0}, \"simd_ns\": {:.0}, \"simd_speedup\": {:.3}, \
                  \"speedup\": {:.3}}}",
                 r.kernel,
                 r.n,
+                r.limb_bits,
                 r.n_mask,
                 r.backend,
                 r.key_bytes,
@@ -396,7 +481,10 @@ fn main() {
          \"note\": \"ns per call (best of 3, single thread); reference = strict seed \
          kernels retained as oracles, scalar = Harvey lazy scalar kernels (u128-MAC \
          external product, SIMD force-disabled), simd = dispatching kernels on the \
-         listed backend (Shoup-precomputed u64 FMA external product); blind_rotate \
+         listed backend (prepared-key external product: narrow u64 MAC for limbs \
+         below 2^30, Shoup-precomputed u64 MAC above); limb_bits 36 = paper shape, \
+         limb_bits 28 = Tiny shape (N = 128, four limbs, d = 2), whose forced-scalar \
+         blind_rotate tier runs the scalar narrow MAC; blind_rotate \
          rows sweep the LWE mask length n_mask over both blind-rotate backends \
          (cmux = per-element CMUX ladder, auto = dlog-bucketed automorphism walk \
          with hoisted Galois key-switching), sharing the strict CMUX rotation as \

@@ -508,7 +508,8 @@ impl NttTable {
     /// past `2^127` — so `acc + product < 2^127 + 2^124 < 2^128` never
     /// overflows. For the 36-bit limbs the parameter sets use, the fold
     /// branch is unreachable before ~`2^55` accumulated terms; an external
-    /// product accumulates `limbs × digits ≤ 8` terms. The fold point
+    /// product accumulates `2 × limbs × digits` terms per output (16 for
+    /// the four-limb, `d = 2` Tiny rotation basis). The fold point
     /// depends only on operand values, never on timing, so results are
     /// deterministic and the final reduced value is bit-identical to the
     /// eager [`Self::pointwise_acc`] chain.
@@ -585,8 +586,59 @@ impl NttTable {
         }
     }
 
+    /// Maximum number of exact narrow-MAC terms (each `≤ (q−1)²`) a `u64`
+    /// accumulator can absorb without overflowing: `⌊u64::MAX / (q−1)²⌋`,
+    /// or 0 when `(q−1)²` itself does not fit (`q > 2^32`).
+    ///
+    /// Callers of [`Self::pointwise_mac_narrow`] must keep their term count
+    /// at or below this: 28-bit limbs allow 256 terms and the largest
+    /// 30-bit prime exactly 16, while 31-bit limbs allow only 4.
+    #[inline]
+    pub fn narrow_mac_term_limit(&self) -> u64 {
+        let m = self.modulus.value() - 1;
+        m.checked_mul(m).map_or(0, |sq| u64::MAX / sq)
+    }
+
+    /// Narrow pointwise multiply-accumulate into `u64` accumulators:
+    /// `acc[i] += x[i] * ops[i]` as an **exact** product with no reduction
+    /// at all — HEAP's MAC array sized to the modulus (§IV-A). Both
+    /// operands must be canonical residues (every NTT output and key row
+    /// is), so each term is at most `(q−1)² < 2^64` and needs no Shoup
+    /// quotient; on AVX2 four terms cost one `vpmuludq`, the scalar
+    /// fallback is a plain `u64` multiply-add.
+    ///
+    /// The caller must bound the number of accumulated terms by
+    /// [`Self::narrow_mac_term_limit`]; reduce once at the end with
+    /// [`Self::reduce_shoup_acc_into`]. The sum is the exact integer the
+    /// `u128` path accumulates, so the reduced outputs are bit-identical.
+    ///
+    /// # Panics
+    ///
+    /// Panics if slice lengths differ from `self.n()` or if `q > 2^32`
+    /// (no term fits a `u64`).
+    pub fn pointwise_mac_narrow(&self, x: &[u64], ops: &[u64], acc: &mut [u64]) {
+        assert!(
+            x.len() == self.n && ops.len() == self.n && acc.len() == self.n,
+            "length mismatch"
+        );
+        // Same condition as `narrow_mac_term_limit() > 0`, without the
+        // division: (q−1)² fits a u64 exactly when q ≤ 2^32.
+        assert!(
+            self.modulus.value() <= 1 << 32,
+            "narrow MAC needs q <= 2^32"
+        );
+        debug_assert!(x.iter().chain(ops).all(|&v| v < self.modulus.value()));
+        if crate::simd::try_mac_narrow(x, ops, acc) {
+            return;
+        }
+        for ((a, &xi), &oi) in acc.iter_mut().zip(x).zip(ops) {
+            *a += xi * oi;
+        }
+    }
+
     /// Reduces `u64` lazy accumulators (built by
-    /// [`Self::pointwise_mac_shoup`]) to canonical residues in `out`.
+    /// [`Self::pointwise_mac_shoup`] or [`Self::pointwise_mac_narrow`]) to
+    /// canonical residues in `out`.
     ///
     /// The SIMD path uses a single-word Barrett step (`x - mulhi(x,
     /// floor(2^64/q))*q` lands in `[0, 2q)`, one conditional subtract

@@ -32,6 +32,42 @@ pub fn sub_assign(a: &mut [u64], b: &[u64], q: &Modulus) {
     }
 }
 
+/// Element-wise modular multiplication of canonical residues:
+/// `a[i] = a[i] * b[i] mod q` — an evaluation-domain polynomial product.
+/// Dispatches to the vector kernel when one applies; outputs are canonical
+/// either way, so both paths are bit-identical.
+///
+/// # Panics
+///
+/// Panics if lengths differ.
+pub fn mul_assign(a: &mut [u64], b: &[u64], q: &Modulus) {
+    assert_eq!(a.len(), b.len());
+    debug_assert!(a.iter().chain(b).all(|&v| v < q.value()));
+    if crate::simd::try_mul_assign(a, b, q.value()) {
+        return;
+    }
+    for (x, &y) in a.iter_mut().zip(b) {
+        *x = q.mul(*x, y);
+    }
+}
+
+/// Element-wise modular multiply-add of canonical residues:
+/// `acc[i] = acc[i] + a[i] * b[i] mod q`. Dispatches like [`mul_assign`];
+/// outputs are canonical either way.
+///
+/// # Panics
+///
+/// Panics if lengths differ.
+pub fn mul_add_assign(acc: &mut [u64], a: &[u64], b: &[u64], q: &Modulus) {
+    assert!(acc.len() == a.len() && a.len() == b.len());
+    if crate::simd::try_mul_add_assign(acc, a, b, q.value()) {
+        return;
+    }
+    for ((c, &x), &y) in acc.iter_mut().zip(a).zip(b) {
+        *c = q.mul_add(x, y, *c);
+    }
+}
+
 /// Element-wise negation in place.
 pub fn neg_assign(a: &mut [u64], q: &Modulus) {
     for x in a.iter_mut() {

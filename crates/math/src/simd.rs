@@ -10,6 +10,13 @@
 //! at runtime behind feature detection, with the scalar lazy kernels as the
 //! always-available fallback.
 //!
+//! Like HEAP's MAC arrays, which are sized to the modulus, the x86_64 kernels
+//! come in three operand classes chosen per modulus ([`ntt_class`]): 64-bit
+//! integer lanes for `q < 2^61`, double-precision FMA lanes for `q < 2^48`,
+//! and *narrow* 32-bit products for `q < 2^30`, where every lazy operand
+//! fits 32 bits and a modular product costs one `vpmuludq` plus its Shoup
+//! correction.
+//!
 //! Every vector kernel performs the *same* per-element arithmetic as its
 //! scalar counterpart (same wrapping multiplies, same conditional subtracts,
 //! same canonicalization), so the outputs are bit-identical regardless of
@@ -134,6 +141,53 @@ fn f64_kernels_ok(q: u64) -> bool {
     q < NTT_F64_Q_LIMIT && std::arch::is_x86_feature_detected!("fma")
 }
 
+/// Bound for the narrow 32-bit NTT kernels: with `q < 2^30` every lazy
+/// operand (`[0, 4q)`) fits 32 bits, so a twiddle product is a single
+/// `vpmuludq` and its Shoup correction uses the 32-bit quotient
+/// `⌊w·2^32/q⌋`. That quotient is the high half of the 64-bit one the
+/// table already stores (`⌊⌊w·2^64/q⌋ / 2^32⌋ = ⌊w·2^32/q⌋`), so the class
+/// keeps no tables of its own.
+pub const NARROW_Q_LIMIT: u64 = 1 << 30;
+
+/// The arithmetic class a dispatched NTT over `(n, q)` runs on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum NttClass {
+    /// The scalar lazy kernels: no vector backend, or the ring or modulus
+    /// does not qualify.
+    Scalar,
+    /// 32-bit products in 64-bit lanes, `q < 2^30` (AVX2).
+    Narrow,
+    /// Error-free double-precision Shoup products, `q < 2^48` (AVX2 + FMA).
+    F64,
+    /// Emulated 64-bit integer products, `q < 2^61` (AVX2, NEON).
+    Integer,
+}
+
+/// Which kernel class [`crate::NttTable::forward`] and
+/// [`crate::NttTable::inverse`] run for ring dimension `n` and modulus `q`
+/// on the active backend. Depends only on the backend, `n` and the width of
+/// `q`; every class produces bit-identical canonical outputs.
+pub fn ntt_class(n: usize, q: u64) -> NttClass {
+    if !ntt_simd_ok(n, q) {
+        return NttClass::Scalar;
+    }
+    match active() {
+        #[cfg(target_arch = "x86_64")]
+        Backend::Avx2 => {
+            if q < NARROW_Q_LIMIT {
+                NttClass::Narrow
+            } else if f64_kernels_ok(q) {
+                NttClass::F64
+            } else {
+                NttClass::Integer
+            }
+        }
+        #[cfg(target_arch = "aarch64")]
+        Backend::Neon => NttClass::Integer,
+        _ => NttClass::Scalar,
+    }
+}
+
 /// Runs the full forward lazy NTT on the active vector backend.
 ///
 /// `ops`/`quots` are the bit-reversed twiddle operands and Shoup quotients
@@ -144,27 +198,35 @@ fn f64_kernels_ok(q: u64) -> bool {
     allow(unused_variables)
 )]
 pub(crate) fn try_ntt_forward(a: &mut [u64], ops: &[u64], quots: &[u64], q: u64) -> bool {
-    if !ntt_simd_ok(a.len(), q) {
-        return false;
-    }
-    match active() {
+    match ntt_class(a.len(), q) {
+        NttClass::Scalar => false,
         #[cfg(target_arch = "x86_64")]
-        Backend::Avx2 => {
-            // SAFETY: Avx2 (and, for the f64 kernel, FMA) is only selected
-            // after runtime detection.
-            if f64_kernels_ok(q) {
-                unsafe { avx2::ntt_forward_f64(a, ops, q) };
-            } else {
-                unsafe { avx2::ntt_forward(a, ops, quots, q) };
-            }
+        NttClass::Narrow => {
+            // SAFETY: the Narrow class is only returned on the Avx2
+            // backend, which is selected after runtime detection.
+            unsafe { avx2::ntt_forward_narrow(a, ops, quots, q) };
+            true
+        }
+        #[cfg(target_arch = "x86_64")]
+        NttClass::F64 => {
+            // SAFETY: the F64 class requires Avx2 and FMA, both detected
+            // at runtime.
+            unsafe { avx2::ntt_forward_f64(a, ops, q) };
+            true
+        }
+        #[cfg(target_arch = "x86_64")]
+        NttClass::Integer => {
+            // SAFETY: Avx2 is only selected after runtime detection.
+            unsafe { avx2::ntt_forward(a, ops, quots, q) };
             true
         }
         #[cfg(target_arch = "aarch64")]
-        Backend::Neon => {
+        NttClass::Integer => {
             // SAFETY: Neon is only selected after runtime detection.
             unsafe { neon::ntt_forward(a, ops, quots, q) };
             true
         }
+        #[allow(unreachable_patterns)]
         _ => false,
     }
 }
@@ -184,27 +246,35 @@ pub(crate) fn try_ntt_inverse(
     n_inv_op: u64,
     n_inv_quot: u64,
 ) -> bool {
-    if !ntt_simd_ok(a.len(), q) {
-        return false;
-    }
-    match active() {
+    match ntt_class(a.len(), q) {
+        NttClass::Scalar => false,
         #[cfg(target_arch = "x86_64")]
-        Backend::Avx2 => {
-            // SAFETY: Avx2 (and, for the f64 kernel, FMA) is only selected
-            // after runtime detection.
-            if f64_kernels_ok(q) {
-                unsafe { avx2::ntt_inverse_f64(a, ops, q, n_inv_op) };
-            } else {
-                unsafe { avx2::ntt_inverse(a, ops, quots, q, n_inv_op, n_inv_quot) };
-            }
+        NttClass::Narrow => {
+            // SAFETY: the Narrow class is only returned on the Avx2
+            // backend, which is selected after runtime detection.
+            unsafe { avx2::ntt_inverse_narrow(a, ops, quots, q, n_inv_op, n_inv_quot) };
+            true
+        }
+        #[cfg(target_arch = "x86_64")]
+        NttClass::F64 => {
+            // SAFETY: the F64 class requires Avx2 and FMA, both detected
+            // at runtime.
+            unsafe { avx2::ntt_inverse_f64(a, ops, q, n_inv_op) };
+            true
+        }
+        #[cfg(target_arch = "x86_64")]
+        NttClass::Integer => {
+            // SAFETY: Avx2 is only selected after runtime detection.
+            unsafe { avx2::ntt_inverse(a, ops, quots, q, n_inv_op, n_inv_quot) };
             true
         }
         #[cfg(target_arch = "aarch64")]
-        Backend::Neon => {
+        NttClass::Integer => {
             // SAFETY: Neon is only selected after runtime detection.
             unsafe { neon::ntt_inverse(a, ops, quots, q, n_inv_op, n_inv_quot) };
             true
         }
+        #[allow(unreachable_patterns)]
         _ => false,
     }
 }
@@ -239,6 +309,54 @@ pub(crate) fn try_mac_shoup(
         Backend::Neon => {
             // SAFETY: Neon is only selected after runtime detection.
             unsafe { neon::mac_shoup(x, ops, quots, q, acc) };
+            true
+        }
+        _ => false,
+    }
+}
+
+/// Accumulates exact products `acc[i] += x[i] * ops[i]` of residues below
+/// `2^32` (the narrow MAC: one `vpmuludq` per four products, no reduction).
+/// Returns `false` when no vector kernel applies.
+#[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
+pub(crate) fn try_mac_narrow(x: &[u64], ops: &[u64], acc: &mut [u64]) -> bool {
+    match active() {
+        #[cfg(target_arch = "x86_64")]
+        Backend::Avx2 => {
+            // SAFETY: Avx2 is only selected after runtime detection.
+            unsafe { avx2::mac_narrow(x, ops, acc) };
+            true
+        }
+        _ => false,
+    }
+}
+
+/// Canonical pointwise product `a[i] = a[i] * b[i] mod q` of canonical
+/// residues, on the double-precision FMA path (`q < 2^48`). Returns `false`
+/// when no vector kernel applies.
+#[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
+pub(crate) fn try_mul_assign(a: &mut [u64], b: &[u64], q: u64) -> bool {
+    match active() {
+        #[cfg(target_arch = "x86_64")]
+        Backend::Avx2 if f64_kernels_ok(q) => {
+            // SAFETY: Avx2 and FMA are both detected at runtime.
+            unsafe { avx2::mul_assign_f64(a, b, q) };
+            true
+        }
+        _ => false,
+    }
+}
+
+/// Canonical pointwise multiply-add `acc[i] = acc[i] + a[i] * b[i] mod q`
+/// of canonical residues, on the double-precision FMA path (`q < 2^48`).
+/// Returns `false` when no vector kernel applies.
+#[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
+pub(crate) fn try_mul_add_assign(acc: &mut [u64], a: &[u64], b: &[u64], q: u64) -> bool {
+    match active() {
+        #[cfg(target_arch = "x86_64")]
+        Backend::Avx2 if f64_kernels_ok(q) => {
+            // SAFETY: Avx2 and FMA are both detected at runtime.
+            unsafe { avx2::mul_add_assign_f64(acc, a, b, q) };
             true
         }
         _ => false,
@@ -725,6 +843,342 @@ mod avx2 {
                 storeu(p.add(j + t), to_u64(z));
                 j += 4;
             }
+        }
+    }
+
+    // ---- narrow (32-bit product) kernels for q < 2^30 ----
+    //
+    // With q < 2^30 every lazy operand (`[0, 4q)`) fits the low 32 bits of
+    // its u64 lane, so `_mm256_mul_epu32` forms an exact 32×32→64 product in
+    // one µop. The Shoup correction uses the 32-bit quotient
+    // w' = ⌊w·2^32/q⌋ (the high half of the table's 64-bit quotient): for
+    // any y < 2^32, hi = ⌊w'·y/2^32⌋ under-estimates ⌊w·y/q⌋ by at most
+    // one, so w·y − hi·q lies in [0, 2q) — exactly the range the 64-bit
+    // `mul_lazy` guarantees, so the butterflies keep the integer kernels'
+    // lazy invariants and canonicalize to the same outputs. Conditional
+    // subtracts use `min_epu32(x, x − b)`: for x, b < 2^32 the wrapped
+    // difference exceeds x exactly when x < b.
+
+    /// Moves each lane's high 32 bits (the 32-bit Shoup quotient) down.
+    #[inline(always)]
+    unsafe fn hi32(x: __m256i) -> __m256i {
+        _mm256_srli_epi64(x, 32)
+    }
+
+    /// Narrow Shoup product `w·y − ⌊w'·y/2^32⌋·q` in `[0, 2q)` for lanes
+    /// `y < 2^32` (`w'` the 32-bit quotient).
+    #[inline(always)]
+    unsafe fn mul_lazy_narrow(y: __m256i, w: __m256i, w32: __m256i, q: __m256i) -> __m256i {
+        let hi = _mm256_srli_epi64(_mm256_mul_epu32(y, w32), 32);
+        _mm256_sub_epi64(_mm256_mul_epu32(y, w), _mm256_mul_epu32(hi, q))
+    }
+
+    /// `x - b` where `x >= b`, else `x`, for lanes and `b` below `2^32`.
+    #[inline(always)]
+    unsafe fn fold_narrow(x: __m256i, b: __m256i) -> __m256i {
+        _mm256_min_epu32(x, _mm256_sub_epi32(x, b))
+    }
+
+    /// Forward lazy NTT for `q < 2^30`: the integer kernel's stage and lane
+    /// structure with narrow products. Lanes stay below `4q < 2^32`.
+    ///
+    /// # Safety
+    ///
+    /// AVX2 must be available, `a.len()` a power of two `>= 8`, `ops` and
+    /// `quots` at least `a.len()` long, and every input lane below `4q`.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn ntt_forward_narrow(a: &mut [u64], ops: &[u64], quots: &[u64], q: u64) {
+        let n = a.len();
+        let p = a.as_mut_ptr();
+        let op_p = ops.as_ptr();
+        let qt_p = quots.as_ptr();
+        let qv = splat(q);
+        let two_q = splat(2 * q);
+
+        // Stages with t >= 4: one broadcast twiddle per butterfly group.
+        let mut t = n;
+        let mut m = 1usize;
+        while m < n / 4 {
+            t >>= 1;
+            for i in 0..m {
+                let s_op = splat(*op_p.add(m + i));
+                let s_qt = splat(*qt_p.add(m + i) >> 32);
+                let j1 = 2 * i * t;
+                let mut j = j1;
+                while j < j1 + t {
+                    let x = fold_narrow(loadu(p.add(j)), two_q);
+                    let v = mul_lazy_narrow(loadu(p.add(j + t)), s_op, s_qt, qv);
+                    storeu(p.add(j), _mm256_add_epi64(x, v));
+                    storeu(
+                        p.add(j + t),
+                        _mm256_sub_epi64(_mm256_add_epi64(x, two_q), v),
+                    );
+                    j += 4;
+                }
+            }
+            m <<= 1;
+        }
+
+        // t == 2 stage: 128-bit half regrouping (see `ntt_forward`).
+        {
+            let m = n / 4;
+            let mut g = 0;
+            while g < m {
+                let base = p.add(4 * g);
+                let v0 = loadu(base);
+                let v1 = loadu(base.add(4));
+                let x = fold_narrow(_mm256_permute2x128_si256(v0, v1, 0x20), two_q);
+                let y = _mm256_permute2x128_si256(v0, v1, 0x31);
+                let wo = expand_pair(op_p.add(m + g));
+                let wq = hi32(expand_pair(qt_p.add(m + g)));
+                let v = mul_lazy_narrow(y, wo, wq, qv);
+                let lo = _mm256_add_epi64(x, v);
+                let hi = _mm256_sub_epi64(_mm256_add_epi64(x, two_q), v);
+                storeu(base, _mm256_permute2x128_si256(lo, hi, 0x20));
+                storeu(base.add(4), _mm256_permute2x128_si256(lo, hi, 0x31));
+                g += 2;
+            }
+        }
+
+        // t == 1 stage with the [0, 4q) -> [0, q) canonicalization fused
+        // into its stores.
+        {
+            let m = n / 2;
+            let mut g = 0;
+            while g < m {
+                let base = p.add(2 * g);
+                let v0 = loadu(base);
+                let v1 = loadu(base.add(4));
+                let x = fold_narrow(_mm256_unpacklo_epi64(v0, v1), two_q);
+                let y = _mm256_unpackhi_epi64(v0, v1);
+                let wo = _mm256_permute4x64_epi64(loadu(op_p.add(m + g)), 0b1101_1000);
+                let wq = hi32(_mm256_permute4x64_epi64(
+                    loadu(qt_p.add(m + g)),
+                    0b1101_1000,
+                ));
+                let v = mul_lazy_narrow(y, wo, wq, qv);
+                let lo = _mm256_add_epi64(x, v);
+                let hi = _mm256_sub_epi64(_mm256_add_epi64(x, two_q), v);
+                let lo = fold_narrow(fold_narrow(lo, two_q), qv);
+                let hi = fold_narrow(fold_narrow(hi, two_q), qv);
+                storeu(base, _mm256_unpacklo_epi64(lo, hi));
+                storeu(base.add(4), _mm256_unpackhi_epi64(lo, hi));
+                g += 4;
+            }
+        }
+    }
+
+    /// Inverse lazy NTT for `q < 2^30` (the integer kernel's structure with
+    /// narrow products); the `n^{-1}` scaling is folded into the last
+    /// stage's twiddles. Lanes stay below `4q < 2^32`.
+    ///
+    /// # Safety
+    ///
+    /// AVX2 must be available, `a.len()` a power of two `>= 8`, `ops` and
+    /// `quots` at least `a.len()` long, and every input lane below `2q`.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn ntt_inverse_narrow(
+        a: &mut [u64],
+        ops: &[u64],
+        quots: &[u64],
+        q: u64,
+        n_inv_op: u64,
+        n_inv_quot: u64,
+    ) {
+        let n = a.len();
+        let p = a.as_mut_ptr();
+        let op_p = ops.as_ptr();
+        let qt_p = quots.as_ptr();
+        let qv = splat(q);
+        let two_q = splat(2 * q);
+
+        // t == 1 stage: unpacked lanes, GS butterfly.
+        {
+            let h = n / 2;
+            let mut g = 0;
+            while g < h {
+                let base = p.add(2 * g);
+                let v0 = loadu(base);
+                let v1 = loadu(base.add(4));
+                let u = _mm256_unpacklo_epi64(v0, v1);
+                let v = _mm256_unpackhi_epi64(v0, v1);
+                let wo = _mm256_permute4x64_epi64(loadu(op_p.add(h + g)), 0b1101_1000);
+                let wq = hi32(_mm256_permute4x64_epi64(
+                    loadu(qt_p.add(h + g)),
+                    0b1101_1000,
+                ));
+                let w = fold_narrow(_mm256_add_epi64(u, v), two_q);
+                let z =
+                    mul_lazy_narrow(_mm256_sub_epi64(_mm256_add_epi64(u, two_q), v), wo, wq, qv);
+                storeu(base, _mm256_unpacklo_epi64(w, z));
+                storeu(base.add(4), _mm256_unpackhi_epi64(w, z));
+                g += 4;
+            }
+        }
+
+        // t == 2 stage: 128-bit half regrouping.
+        {
+            let h = n / 4;
+            let mut g = 0;
+            while g < h {
+                let base = p.add(4 * g);
+                let v0 = loadu(base);
+                let v1 = loadu(base.add(4));
+                let u = _mm256_permute2x128_si256(v0, v1, 0x20);
+                let v = _mm256_permute2x128_si256(v0, v1, 0x31);
+                let wo = expand_pair(op_p.add(h + g));
+                let wq = hi32(expand_pair(qt_p.add(h + g)));
+                let w = fold_narrow(_mm256_add_epi64(u, v), two_q);
+                let z =
+                    mul_lazy_narrow(_mm256_sub_epi64(_mm256_add_epi64(u, two_q), v), wo, wq, qv);
+                storeu(base, _mm256_permute2x128_si256(w, z, 0x20));
+                storeu(base.add(4), _mm256_permute2x128_si256(w, z, 0x31));
+                g += 2;
+            }
+        }
+
+        // Stages with t >= 4 except the last: broadcast twiddle per group.
+        let mut t = 4usize;
+        let mut m = n / 4;
+        while m > 2 {
+            let h = m >> 1;
+            for i in 0..h {
+                let s_op = splat(*op_p.add(h + i));
+                let s_qt = splat(*qt_p.add(h + i) >> 32);
+                let j1 = 2 * i * t;
+                let mut j = j1;
+                while j < j1 + t {
+                    let u = loadu(p.add(j));
+                    let v = loadu(p.add(j + t));
+                    let w = fold_narrow(_mm256_add_epi64(u, v), two_q);
+                    let z = mul_lazy_narrow(
+                        _mm256_sub_epi64(_mm256_add_epi64(u, two_q), v),
+                        s_op,
+                        s_qt,
+                        qv,
+                    );
+                    storeu(p.add(j), w);
+                    storeu(p.add(j + t), z);
+                    j += 4;
+                }
+            }
+            t <<= 1;
+            m = h;
+        }
+
+        // Final stage (h == 1) with n^{-1} folded into the twiddles, as in
+        // `ntt_inverse`; both operands `u + v` and `u + 2q - v` are below
+        // 4q < 2^32.
+        {
+            let t = n / 2;
+            let s = *op_p.add(1);
+            let s_ni = ((u128::from(s) * u128::from(n_inv_op)) % u128::from(q)) as u64;
+            let ni_op = splat(n_inv_op);
+            let ni_qt = splat(n_inv_quot >> 32);
+            let sni_op = splat(s_ni);
+            let sni_qt = splat((s_ni << 32) / q);
+            let mut j = 0;
+            while j < t {
+                let u = loadu(p.add(j));
+                let v = loadu(p.add(j + t));
+                let w = mul_lazy_narrow(_mm256_add_epi64(u, v), ni_op, ni_qt, qv);
+                let z = mul_lazy_narrow(
+                    _mm256_sub_epi64(_mm256_add_epi64(u, two_q), v),
+                    sni_op,
+                    sni_qt,
+                    qv,
+                );
+                storeu(p.add(j), fold_narrow(w, qv));
+                storeu(p.add(j + t), fold_narrow(z, qv));
+                j += 4;
+            }
+        }
+    }
+
+    /// Narrow MAC: `acc[i] += x[i] * ops[i]` as one exact `vpmuludq` per
+    /// four products. Operands must be below `2^32` (the caller's term
+    /// limit guarantees it); accumulators are not reduced.
+    ///
+    /// # Safety
+    ///
+    /// AVX2 must be available and `ops` and `acc` at least `x.len()` long.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn mac_narrow(x: &[u64], ops: &[u64], acc: &mut [u64]) {
+        let n = x.len();
+        let xp = x.as_ptr();
+        let op = ops.as_ptr();
+        let ap = acc.as_mut_ptr();
+        let mut i = 0;
+        while i + 4 <= n {
+            let prod = _mm256_mul_epu32(loadu(xp.add(i)), loadu(op.add(i)));
+            storeu(ap.add(i), _mm256_add_epi64(loadu(ap.add(i)), prod));
+            i += 4;
+        }
+        while i < n {
+            acc[i] += x[i] * ops[i];
+            i += 1;
+        }
+    }
+
+    /// Canonical pointwise product `a[i] = a[i] * b[i] mod q` over
+    /// [`mulmod_pd`], for canonical residues and `q < 2^48`.
+    ///
+    /// # Safety
+    ///
+    /// AVX2 and FMA must be available and `b` at least `a.len()` long.
+    #[target_feature(enable = "avx2", enable = "fma")]
+    pub(super) unsafe fn mul_assign_f64(a: &mut [u64], b: &[u64], q: u64) {
+        let n = a.len();
+        let qd = _mm256_set1_pd(q as f64);
+        let inv_q = _mm256_set1_pd(1.0 / q as f64);
+        let ap = a.as_mut_ptr();
+        let bp = b.as_ptr();
+        let mut i = 0;
+        while i + 4 <= n {
+            let x = to_f64(loadu(ap.add(i)));
+            let y = to_f64(loadu(bp.add(i)));
+            storeu(ap.add(i), to_u64(mulmod_pd(x, y, qd, inv_q)));
+            i += 4;
+        }
+        while i < n {
+            a[i] = ((u128::from(a[i]) * u128::from(b[i])) % u128::from(q)) as u64;
+            i += 1;
+        }
+    }
+
+    /// Canonical pointwise multiply-add `acc[i] = acc[i] + a[i] * b[i] mod
+    /// q` over [`mulmod_pd`]: the product is canonical, so the sum is below
+    /// `2q` and one conditional subtract canonicalizes it. Canonical
+    /// residues, `q < 2^48`.
+    ///
+    /// # Safety
+    ///
+    /// AVX2 and FMA must be available and `a` and `b` at least `acc.len()`
+    /// long.
+    #[target_feature(enable = "avx2", enable = "fma")]
+    pub(super) unsafe fn mul_add_assign_f64(acc: &mut [u64], a: &[u64], b: &[u64], q: u64) {
+        let n = acc.len();
+        let qd = _mm256_set1_pd(q as f64);
+        let inv_q = _mm256_set1_pd(1.0 / q as f64);
+        let cp = acc.as_mut_ptr();
+        let ap = a.as_ptr();
+        let bp = b.as_ptr();
+        let mut i = 0;
+        while i + 4 <= n {
+            let prod = mulmod_pd(
+                to_f64(loadu(ap.add(i))),
+                to_f64(loadu(bp.add(i))),
+                qd,
+                inv_q,
+            );
+            let sum = cond_sub_pd(_mm256_add_pd(to_f64(loadu(cp.add(i))), prod), qd);
+            storeu(cp.add(i), to_u64(sum));
+            i += 4;
+        }
+        while i < n {
+            let prod = (u128::from(a[i]) * u128::from(b[i])) % u128::from(q);
+            acc[i] = ((u128::from(acc[i]) + prod) % u128::from(q)) as u64;
+            i += 1;
         }
     }
 

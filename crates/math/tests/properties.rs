@@ -301,6 +301,7 @@ proptest! {
 /// dispatchers fall back to the scalar kernels and these hold trivially.
 mod simd_parity {
     use super::*;
+    use heap_math::simd::{ntt_class, NttClass, NARROW_Q_LIMIT};
     use heap_math::ShoupPoly;
 
     /// A 60-bit NTT prime valid for every ring size used below
@@ -311,6 +312,23 @@ mod simd_parity {
 
     fn q60() -> Modulus {
         Modulus::new(q60v()).unwrap()
+    }
+
+    /// The narrow class (`q < 2^30`): a 28-bit prime (the Tiny preset's
+    /// limb width) and the largest 30-bit prime with `q ≡ 1 mod 512`,
+    /// whose lazy `[0, 4q)` operands come closest to `2^32`.
+    fn narrow_primes() -> [u64; 2] {
+        [ntt_primes(256, 28, 1)[0], ntt_primes(256, 30, 1)[0]]
+    }
+
+    /// Smallest prime `≡ 1 mod 512` at or above `2^30`: the first modulus
+    /// the narrow NTT gate must refuse.
+    fn q31v() -> u64 {
+        let mut c = (1u64 << 30) + 1;
+        while !is_prime(c) {
+            c += 512;
+        }
+        c
     }
 
     /// Deterministic edge vector for modulus `q`: operand-bound corners
@@ -353,7 +371,81 @@ mod simd_parity {
             assert_inverse_parity(q(), edge_vector(Q36, 2 * Q36, n));
             assert_forward_parity(q60(), edge_vector(q60v(), 4 * q60v(), n));
             assert_inverse_parity(q60(), edge_vector(q60v(), 2 * q60v(), n));
+            for qv in narrow_primes().into_iter().chain([q31v()]) {
+                let m = Modulus::new(qv).unwrap();
+                assert_forward_parity(m, edge_vector(qv, 4 * qv, n));
+                assert_inverse_parity(m, edge_vector(qv, 2 * qv, n));
+            }
         }
+    }
+
+    /// The narrow NTT gate: moduli below `2^30` take the narrow kernels on
+    /// AVX2; `q ≥ 2^30` and rings below the vector width fall back to the
+    /// previous classes (bit-identity at both sides is pinned above).
+    #[test]
+    fn narrow_ntt_gate_boundaries() {
+        let avx2 = heap_math::simd::active() == heap_math::simd::Backend::Avx2;
+        for qv in narrow_primes() {
+            let class = ntt_class(64, qv);
+            assert_eq!(class == NttClass::Narrow, avx2, "q = {qv}: {class:?}");
+            assert_ne!(
+                ntt_class(4, qv),
+                NttClass::Narrow,
+                "n below the vector width"
+            );
+        }
+        let q31 = q31v();
+        assert!(q31 >= NARROW_Q_LIMIT);
+        assert_ne!(ntt_class(64, q31), NttClass::Narrow);
+        assert_ne!(ntt_class(64, Q36), NttClass::Narrow);
+    }
+
+    /// The narrow MAC at exactly its term limit with every operand `q − 1`
+    /// (the largest exact product): the `u64` accumulator holds the exact
+    /// sum, one more term would overflow, and the single reduction matches
+    /// the `u128` MAC.
+    #[test]
+    fn narrow_mac_exact_at_term_limit() {
+        for qv in narrow_primes() {
+            let t = NttTable::new(32, Modulus::new(qv).unwrap());
+            let limit = t.narrow_mac_term_limit();
+            let top = u128::from(qv - 1).pow(2);
+            assert!(u128::from(limit) * top <= u128::from(u64::MAX));
+            assert!(u128::from(limit + 1) * top > u128::from(u64::MAX));
+            assert!(limit >= 16, "q = {qv} must admit the Tiny 16-term product");
+            let x = vec![qv - 1; 32];
+            let mut acc64 = vec![0u64; 32];
+            let mut acc128 = vec![0u128; 32];
+            for _ in 0..limit {
+                t.pointwise_mac_narrow(&x, &x, &mut acc64);
+                t.pointwise_mac_lazy(&x, &x, &mut acc128);
+            }
+            assert!(acc64
+                .iter()
+                .all(|&a| u128::from(a) == u128::from(limit) * top));
+            let mut got = vec![0u64; 32];
+            let mut want = vec![0u64; 32];
+            t.reduce_shoup_acc_into(&acc64, &mut got);
+            t.reduce_acc_into(&acc128, &mut want);
+            assert_eq!(got, want);
+        }
+    }
+
+    /// The narrow MAC's term limit is the boundary the external product
+    /// gates on: the Tiny 16-term product fits below `2^30` and falls back
+    /// to the Shoup/`u128` MACs at 31 bits; above `2^32` no product fits.
+    #[test]
+    fn narrow_mac_limit_boundaries() {
+        let limit = |bits: u32| {
+            let q = Modulus::new(ntt_primes(64, bits, 1)[0]).unwrap();
+            NttTable::new(64, q).narrow_mac_term_limit()
+        };
+        assert!(limit(28) >= 256);
+        assert!(limit(30) >= 16);
+        assert!(limit(31) < 16, "31-bit limbs must fall back at 16 terms");
+        assert!(limit(32) >= 1);
+        assert_eq!(limit(33), 0);
+        assert_eq!(limit(36), 0);
     }
 
     proptest! {
@@ -367,6 +459,69 @@ mod simd_parity {
         #[test]
         fn inverse_parity_36bit_lazy_range(coeffs in prop::collection::vec(0..2 * Q36, 64)) {
             assert_inverse_parity(q(), coeffs);
+        }
+
+        #[test]
+        fn forward_parity_narrow_lazy_range(raw in prop::collection::vec(any::<u64>(), 64)) {
+            for qv in narrow_primes() {
+                let coeffs: Vec<u64> = raw.iter().map(|&c| c % (4 * qv)).collect();
+                assert_forward_parity(Modulus::new(qv).unwrap(), coeffs);
+            }
+        }
+
+        #[test]
+        fn inverse_parity_narrow_lazy_range(raw in prop::collection::vec(any::<u64>(), 64)) {
+            for qv in narrow_primes() {
+                let coeffs: Vec<u64> = raw.iter().map(|&c| c % (2 * qv)).collect();
+                assert_inverse_parity(Modulus::new(qv).unwrap(), coeffs);
+            }
+        }
+
+        /// Narrow MAC + single reduction == the `u128` lazy MAC, on random
+        /// canonical operands; the two-slot ring runs the kernel's scalar
+        /// tail.
+        #[test]
+        fn mac_narrow_matches_u128_mac(raw in prop::collection::vec(any::<u64>(), 4 * 64)) {
+            for qv in narrow_primes() {
+                for n in [2usize, 64] {
+                    let t = NttTable::new(n, Modulus::new(qv).unwrap());
+                    let v: Vec<u64> = raw.iter().take(4 * n).map(|&c| c % qv).collect();
+                    let mut acc64 = vec![0u64; n];
+                    let mut acc128 = vec![0u128; n];
+                    for pair in v.chunks(2 * n) {
+                        let (x, ops) = pair.split_at(n);
+                        t.pointwise_mac_narrow(x, ops, &mut acc64);
+                        t.pointwise_mac_lazy(x, ops, &mut acc128);
+                    }
+                    let mut got = vec![0u64; n];
+                    let mut want = vec![0u64; n];
+                    t.reduce_shoup_acc_into(&acc64, &mut got);
+                    t.reduce_acc_into(&acc128, &mut want);
+                    prop_assert_eq!(got, want);
+                }
+            }
+        }
+
+        /// Pointwise product and multiply-add (the CMux and repacking
+        /// monomial factors) == the scalar `Modulus` arithmetic, across the
+        /// narrow, 36-bit and 60-bit classes; odd length exercises the
+        /// vector tail.
+        #[test]
+        fn pointwise_mul_and_mul_add_match_scalar(raw in prop::collection::vec(any::<u64>(), 3 * 37)) {
+            for qv in narrow_primes().into_iter().chain([Q36, q60v()]) {
+                let m = Modulus::new(qv).unwrap();
+                let v: Vec<u64> = raw.iter().map(|&c| c % qv).collect();
+                let (acc, rest) = v.split_at(37);
+                let (a, b) = rest.split_at(37);
+                let mut prod = a.to_vec();
+                poly::mul_assign(&mut prod, b, &m);
+                let mut fused = acc.to_vec();
+                poly::mul_add_assign(&mut fused, a, b, &m);
+                for i in 0..37 {
+                    prop_assert_eq!(prod[i], m.mul(a[i], b[i]));
+                    prop_assert_eq!(fused[i], m.mul_add(a[i], b[i], acc[i]));
+                }
+            }
         }
 
         #[test]

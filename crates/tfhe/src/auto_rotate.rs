@@ -37,8 +37,9 @@
 //! `σ_t` acts on NTT slots as a precomputed gather (slot `j` holds the
 //! evaluation at `ψ^{e_j}`, and `σ_t(p)(ψ^e) = p(ψ^{e·t})`), so the whole
 //! application costs zero extra NTT round trips. The MACs ride the same
-//! lazy-`u128` / Shoup-`u64` dual datapath as the external product, gated
-//! per call by [`heap_math::simd::active`] and the accumulator headroom.
+//! narrow / Shoup / lazy-`u128` datapaths as the external product: narrow
+//! whenever the `limbs·digits` exact products fit a `u64` (no quotients
+//! are then built), Shoup when a SIMD backend is active, `u128` otherwise.
 //!
 //! # Why it wins
 //!
@@ -58,8 +59,8 @@ use heap_math::{poly, Domain, Gadget, Modulus, RnsContext, RnsPoly, ShoupPoly};
 use crate::blind_rotate::{bit_reverse, BlindRotateKey, BlindRotateScratch};
 use crate::lwe::{LweCiphertext, LweSecretKey};
 use crate::rgsw::{
-    external_product_prepared_into, ExternalProductScratch, PreparedRgsw, RgswCiphertext,
-    RgswParams,
+    external_product_prepared_into, mac_u64, narrow_mac_ok, shoup_at, ExternalProductScratch,
+    PreparedRgsw, RgswCiphertext, RgswParams,
 };
 use crate::rlwe::{RingSecretKey, RlweCiphertext};
 
@@ -268,6 +269,30 @@ fn ks_shoup_ok(ctx: &RnsContext, params: &RgswParams, limbs: usize) -> bool {
     (0..limbs).all(|j| terms <= ctx.ntt(j).shoup_mac_term_limit())
 }
 
+/// Shoup quotients `(a, b)` for every row limb of a switch key, indexed
+/// `[r·limbs + j]` — empty when the key switch takes the narrow MAC, which
+/// reads none.
+fn ks_quotients(
+    ctx: &RnsContext,
+    rows: &[RlweCiphertext],
+    params: &RgswParams,
+    limbs: usize,
+) -> (Vec<ShoupPoly>, Vec<ShoupPoly>) {
+    if narrow_mac_ok(ctx, limbs, params.rows(limbs)) {
+        return (Vec::new(), Vec::new());
+    }
+    let mut quot_a = Vec::with_capacity(rows.len() * limbs);
+    let mut quot_b = Vec::with_capacity(rows.len() * limbs);
+    for row in rows {
+        for j in 0..limbs {
+            let m = ctx.modulus(j);
+            quot_a.push(ShoupPoly::new(row.a.limb(j), m));
+            quot_b.push(ShoupPoly::new(row.b.limb(j), m));
+        }
+    }
+    (quot_a, quot_b)
+}
+
 /// A key-switching key for one automorphism `σ_t`: rows `(i, k)` are RLWE
 /// encryptions with phase `σ_t(s)·g_{i,k}` under `s`, plus the precomputed
 /// index permutations and Shoup quotients for the hoisted application.
@@ -337,15 +362,7 @@ impl GaloisSwitchKey {
         limbs: usize,
     ) -> Self {
         assert_eq!(rows.len(), params.rows(limbs), "switch-key row mismatch");
-        let mut quot_a = Vec::with_capacity(rows.len() * limbs);
-        let mut quot_b = Vec::with_capacity(rows.len() * limbs);
-        for row in &rows {
-            for j in 0..limbs {
-                let m = ctx.modulus(j);
-                quot_a.push(ShoupPoly::new(row.a.limb(j), m));
-                quot_b.push(ShoupPoly::new(row.b.limb(j), m));
-            }
-        }
+        let (quot_a, quot_b) = ks_quotients(ctx, &rows, &params, limbs);
         Self {
             exponent: t,
             rows,
@@ -375,15 +392,7 @@ impl GaloisSwitchKey {
 
     /// Re-derives the Shoup quotients from the current rows.
     pub(crate) fn rebuild_prepared(&mut self, ctx: &RnsContext) {
-        self.quot_a.clear();
-        self.quot_b.clear();
-        for row in &self.rows {
-            for j in 0..self.limbs {
-                let m = ctx.modulus(j);
-                self.quot_a.push(ShoupPoly::new(row.a.limb(j), m));
-                self.quot_b.push(ShoupPoly::new(row.b.limb(j), m));
-            }
-        }
+        (self.quot_a, self.quot_b) = ks_quotients(ctx, &self.rows, &self.params, self.limbs);
     }
 
     /// `out = σ_t(acc)` under the same secret: the hoisted Galois key
@@ -405,8 +414,9 @@ impl GaloisSwitchKey {
         assert_eq!(out.limbs(), limbs, "output limb count mismatch");
         assert_eq!(acc.b.domain(), Domain::Eval, "body must be Eval");
         let n = ctx.n();
-        let shoup = ks_shoup_ok(ctx, &self.params, limbs);
-        scratch.prepare(ctx, &self.params, limbs, shoup);
+        let narrow = narrow_mac_ok(ctx, limbs, self.params.rows(limbs));
+        let use_u64 = narrow || ks_shoup_ok(ctx, &self.params, limbs);
+        scratch.prepare(ctx, &self.params, limbs, use_u64);
         match &mut scratch.a_coeff {
             Some(p) => p.copy_from(&acc.a),
             slot => {
@@ -441,21 +451,13 @@ impl GaloisSwitchKey {
                     poly::from_signed_into(digits, m, spread);
                     ntt.forward(spread);
                     let w = j * n..(j + 1) * n;
-                    if shoup {
+                    if use_u64 {
                         let rj = r * limbs + j;
                         let (acc_a, acc_b) = acc64.split_at_mut(limbs * n);
-                        ntt.pointwise_mac_shoup(
-                            spread,
-                            row.a.limb(j),
-                            &self.quot_a[rj],
-                            &mut acc_a[w.clone()],
-                        );
-                        ntt.pointwise_mac_shoup(
-                            spread,
-                            row.b.limb(j),
-                            &self.quot_b[rj],
-                            &mut acc_b[w],
-                        );
+                        let qa = shoup_at(&self.quot_a, rj, narrow);
+                        let qb = shoup_at(&self.quot_b, rj, narrow);
+                        mac_u64(ntt, spread, row.a.limb(j), qa, &mut acc_a[w.clone()]);
+                        mac_u64(ntt, spread, row.b.limb(j), qb, &mut acc_b[w]);
                     } else {
                         let (acc_a, acc_b) = acc128.split_at_mut(limbs * n);
                         ntt.pointwise_mac_lazy(spread, row.a.limb(j), &mut acc_a[w.clone()]);
@@ -471,7 +473,7 @@ impl GaloisSwitchKey {
             let ntt = ctx.ntt(j);
             let w = j * n..(j + 1) * n;
             self.perm.apply_eval(acc.b.limb(j), out.b.limb_mut(j));
-            if shoup {
+            if use_u64 {
                 let (acc_a, acc_b) = acc64.split_at(limbs * n);
                 ntt.reduce_shoup_acc_into(&acc_a[w.clone()], out.a.limb_mut(j));
                 ntt.reduce_shoup_acc_into(&acc_b[w], reduced);
@@ -508,7 +510,7 @@ pub struct AutoKsScratch {
 }
 
 impl AutoKsScratch {
-    fn prepare(&mut self, ctx: &RnsContext, params: &RgswParams, limbs: usize, shoup: bool) {
+    fn prepare(&mut self, ctx: &RnsContext, params: &RgswParams, limbs: usize, use_u64: bool) {
         let n = ctx.n();
         self.digit_signed.resize_with(params.digits, Vec::new);
         for d in &mut self.digit_signed {
@@ -517,7 +519,7 @@ impl AutoKsScratch {
         self.spread.resize(n, 0);
         self.perm_coeff.resize(n, 0);
         self.reduced.resize(n, 0);
-        if shoup {
+        if use_u64 {
             self.acc64.resize(2 * limbs * n, 0);
             self.acc64.fill(0);
         } else {
@@ -1008,6 +1010,26 @@ mod tests {
 
     fn ctx() -> RnsContext {
         RnsContext::new(64, &ntt_primes(64, 30, 2))
+    }
+
+    /// Narrow-MAC shapes build no Shoup quotients for either half of the
+    /// auto key; 36-bit limbs still do.
+    #[test]
+    fn quotients_are_built_only_off_the_narrow_path() {
+        for (bits, narrow) in [(30u32, true), (36, false)] {
+            let c = RnsContext::new(64, &ntt_primes(64, bits, 2));
+            let mut rng = StdRng::seed_from_u64(5);
+            let ring_sk = RingSecretKey::generate(&c, 2, &mut rng);
+            let lwe_sk = LweSecretKey::generate(&mut rng, 4);
+            let params = RgswParams {
+                base_bits: bits.div_ceil(2),
+                digits: 2,
+            };
+            let abk = AutoBlindRotateKey::generate(&c, &lwe_sk, &ring_sk, 2, params, &mut rng);
+            assert!(abk.prepared.iter().all(|p| p.holds_quotients() != narrow));
+            assert!(abk.gks.iter().all(|g| g.quot_a.is_empty() == narrow));
+            assert!(abk.gks.iter().all(|g| g.quot_b.is_empty() == narrow));
+        }
     }
 
     #[test]

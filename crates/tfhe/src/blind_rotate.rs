@@ -28,7 +28,10 @@
 //! TFHE evaluates arbitrary negacyclic LUTs.
 //!
 //! The monomial factors are applied in evaluation domain via precomputed
-//! root-power tables (HEAP's rotation unit + NTT datapath combination).
+//! root-power tables (HEAP's rotation unit + NTT datapath combination):
+//! slot `j` of `X^a` is `psi^{(a·e_j) mod 2N}`, indexed with a `2N − 1`
+//! mask, and each factor is applied and added to the accumulator by one
+//! vector multiply-add ([`heap_math::poly::mul_add_assign`]).
 
 use rand::Rng;
 
@@ -88,24 +91,28 @@ impl MonomialTable {
         Self { pow, slot_exp }
     }
 
+    /// `psi^{(a·e) mod 2N}`: `psi` has order `2N`, a power of two, so the
+    /// exponent reduces with a mask instead of a division.
+    #[inline]
+    fn root_pow(&self, a: usize, e: usize) -> u64 {
+        self.pow[a.wrapping_mul(e) & (self.pow.len() - 1)]
+    }
+
     /// Writes the evaluation-domain representation of `X^a - 1` (negacyclic
     /// exponent `a ∈ [0, 2N)`) into `out`.
     pub fn monomial_minus_one(&self, a: usize, q: &heap_math::Modulus, out: &mut [u64]) {
-        let two_n = self.pow.len();
         debug_assert_eq!(out.len(), self.slot_exp.len());
         for (o, &e) in out.iter_mut().zip(&self.slot_exp) {
-            let v = self.pow[(a * e) % two_n];
-            *o = q.sub(v, 1 % q.value());
+            *o = q.sub(self.root_pow(a, e), 1);
         }
     }
 
     /// Writes the evaluation-domain representation of `X^a` into `out`
     /// (used by the repacking tree's interleaving shifts).
     pub fn monomial(&self, a: usize, out: &mut [u64]) {
-        let two_n = self.pow.len();
         debug_assert_eq!(out.len(), self.slot_exp.len());
         for (o, &e) in out.iter_mut().zip(&self.slot_exp) {
-            *o = self.pow[(a * e) % two_n];
+            *o = self.root_pow(a, e);
         }
     }
 }
@@ -156,22 +163,34 @@ impl MonomialEvals {
             .collect()
     }
 
-    /// Multiplies an evaluation-domain [`RnsPoly`] by `X^a` in place.
+    /// Multiplies an evaluation-domain [`RnsPoly`] by `X^a` in place: the
+    /// factor is gathered from the root table a stack block at a time and
+    /// applied with the vector pointwise product, so the call allocates
+    /// nothing.
     ///
     /// # Panics
     ///
     /// Panics if the polynomial is in coefficient domain or has more limbs
     /// than the table set.
     pub fn mul_monomial_assign(&self, poly: &mut RnsPoly, a: usize, ctx: &RnsContext) {
+        const BLOCK: usize = 64;
         assert_eq!(poly.domain(), Domain::Eval, "needs Eval domain");
         let limbs = poly.limb_count();
         assert!(limbs <= self.tables.len());
+        let mut factor = [0u64; BLOCK];
         for j in 0..limbs {
             let m = ctx.modulus(j);
             let t = &self.tables[j];
-            let two_n = t.pow.len();
-            for (x, &e) in poly.limb_mut(j).iter_mut().zip(&t.slot_exp) {
-                *x = m.mul(*x, t.pow[(a * e) % two_n]);
+            for (xs, es) in poly
+                .limb_mut(j)
+                .chunks_mut(BLOCK)
+                .zip(t.slot_exp.chunks(BLOCK))
+            {
+                let f = &mut factor[..xs.len()];
+                for (fv, &e) in f.iter_mut().zip(es) {
+                    *fv = t.root_pow(a, e);
+                }
+                poly::mul_assign(xs, f, m);
             }
         }
     }
@@ -188,7 +207,8 @@ pub struct BlindRotateKey {
     monomials: MonomialEvals,
     /// Shoup quotients for every `pos` row limb, precomputed at key
     /// construction (the `ShoupMatrixFMA` idiom) so the CMux external
-    /// products run the vectorized `u64`-accumulator datapath. Kept at the
+    /// products run the vectorized `u64`-accumulator datapath — empty when
+    /// the key's shape takes the narrow MAC, which reads none. Kept at the
     /// key level (not inside [`RgswCiphertext`]) because the reseed
     /// transform mutates rows in place and rebuilds these afterwards.
     prepared_pos: Vec<PreparedRgsw>,
@@ -419,9 +439,8 @@ impl BlindRotateKey {
         } = scratch;
         let ep_pos = ep_pos.get_or_insert_with(|| RlweCiphertext::zero(ctx, self.limbs));
         let ep_neg = ep_neg.get_or_insert_with(|| RlweCiphertext::zero(ctx, self.limbs));
-        // One shared decomposition of ACC feeds both products; the
-        // precomputed Shoup quotients route them onto the vectorized
-        // u64-accumulator datapath when it applies.
+        // One shared decomposition of ACC feeds both products, on the
+        // narrow or Shoup u64-accumulator datapath when one applies.
         external_product_pair_prepared_into(
             acc,
             &self.pos[i],
@@ -435,11 +454,9 @@ impl BlindRotateKey {
             ep_neg,
         );
         self.monomials.factor_into(neg_exp, ctx, factor);
-        ep_pos.mul_eval_factor_assign(factor, ctx);
-        acc.add_assign(ep_pos, ctx);
+        acc.add_mul_eval_factor_assign(ep_pos, factor, ctx);
         self.monomials.factor_into(ai, ctx, factor);
-        ep_neg.mul_eval_factor_assign(factor, ctx);
-        acc.add_assign(ep_neg, ctx);
+        acc.add_mul_eval_factor_assign(ep_neg, factor, ctx);
     }
 
     /// One Algorithm-1 accumulator update in its original one-product
@@ -661,6 +678,67 @@ mod tests {
                 (got - want).abs() < (1u64 << 34) as f64,
                 "msg {msg}: got {got}, want {want}"
             );
+        }
+    }
+
+    /// The Tiny rotation basis (N = 128, four 28-bit limbs, `d = 2`) takes
+    /// the narrow MAC on every limb, so its key builds no Shoup quotients —
+    /// and its rotation stays bit-identical to the strict oracle.
+    #[test]
+    fn tiny_key_holds_no_quotients_and_matches_reference() {
+        let c = RnsContext::new(128, &ntt_primes(128, 28, 4));
+        let mut rng = StdRng::seed_from_u64(28);
+        let ring_sk = RingSecretKey::generate(&c, 4, &mut rng);
+        let lwe_sk = LweSecretKey::generate(&mut rng, 8);
+        let params = RgswParams {
+            base_bits: 15,
+            digits: 2,
+        };
+        let brk = BlindRotateKey::generate(&c, &lwe_sk, &ring_sk, 4, params, &mut rng);
+        assert!(brk
+            .prepared_pos
+            .iter()
+            .chain(&brk.prepared_neg)
+            .all(|p| !p.holds_quotients()));
+        let two_n = 2 * c.n() as u64;
+        let f = test_polynomial_from_fn(&c, 4, |u| u << 40);
+        let lwe = LweCiphertext {
+            a: (0..8).map(|_| rng.gen_range(0..two_n)).collect(),
+            b: rng.gen_range(0..two_n),
+            modulus: two_n,
+        };
+        let hot = brk.blind_rotate(&c, &f, &lwe);
+        let oracle = brk.blind_rotate_reference(&c, &f, &lwe);
+        assert!(hot.a == oracle.a && hot.b == oracle.b);
+    }
+
+    #[test]
+    fn mul_monomial_assign_matches_scalar_product() {
+        let c = ctx();
+        let evals = MonomialEvals::new(&c, 2);
+        let base = RnsPoly::from_limbs(
+            (0..2)
+                .map(|j| {
+                    let q = c.modulus(j).value();
+                    (0..64u64).map(|i| (i * 0x9E37_79B9 + 7) % q).collect()
+                })
+                .collect(),
+            Domain::Eval,
+        );
+        for a in [0usize, 1, 63, 64, 127] {
+            let mut got = base.clone();
+            evals.mul_monomial_assign(&mut got, a, &c);
+            let mono = evals.monomial(a, &c);
+            for (j, mono_j) in mono.iter().enumerate() {
+                let m = c.modulus(j);
+                let want: Vec<u64> = base
+                    .limb(j)
+                    .iter()
+                    .zip(mono_j)
+                    .map(|(&x, &f)| m.mul(x, f))
+                    .collect();
+                assert_eq!(got.limb(j), &want[..], "a = {a}, limb {j}");
+            }
         }
     }
 

@@ -6,8 +6,10 @@
 //! HEAP executes these products on dedicated MAC units with dual-port BRAM
 //! accumulation and lazy reduction (paper §IV-A/§IV-E); here they are NTT
 //! pointwise multiply-accumulates over the RNS basis, accumulated
-//! unreduced in `u128` with one deferred Barrett reduction per output
-//! coefficient (see [`external_product_into`]).
+//! unreduced with one deferred reduction per output coefficient (see
+//! [`external_product_into`]). Like HEAP's MAC arrays, the accumulator is
+//! sized to the modulus: limbs whose `2·limbs·digits` exact products fit a
+//! `u64` take the narrow MAC, wider ones the Shoup or `u128` MAC.
 //!
 //! The gadget is the RNS-hybrid one: rows are indexed by `(limb i, digit
 //! k)` with gadget constants `g_{i,k} ≡ δ_{ij}·B^k (mod q_j)` — the digit
@@ -15,7 +17,7 @@
 
 use rand::Rng;
 
-use heap_math::{poly, Domain, Gadget, RnsContext, RnsPoly, ShoupPoly};
+use heap_math::{poly, Domain, Gadget, NttTable, RnsContext, RnsPoly, ShoupPoly};
 
 use crate::rlwe::{RingSecretKey, RlweCiphertext};
 
@@ -232,6 +234,10 @@ impl RgswCiphertext {
 /// Only quotients are stored ([`ShoupPoly`]); the MAC reads operands from
 /// the original key rows. Each ladder's quotients are indexed
 /// `[row * limbs + limb]`, mirroring the row layout of [`RgswCiphertext`].
+///
+/// When every limb takes the narrow MAC (`terms·(q−1)² ≤ u64::MAX`) no
+/// quotient is ever read, so none are built: the prepared form is empty
+/// ([`PreparedRgsw::holds_quotients`] is `false`).
 #[derive(Debug, Clone)]
 pub struct PreparedRgsw {
     /// Quotients for `rows_s[r].a` / `rows_s[r].b`.
@@ -251,7 +257,13 @@ impl PreparedRgsw {
     /// operand values they were derived from.
     pub fn new(rgsw: &RgswCiphertext, ctx: &RnsContext) -> Self {
         let limbs = rgsw.rows_s.first().map_or(0, |r| r.a.limb_count());
+        // `rows = limbs·digits`, and a product sums one term per row of
+        // each ladder.
+        let narrow = narrow_mac_ok(ctx, limbs, 2 * rgsw.row_count());
         let prep_ladder = |rows: &[RlweCiphertext]| {
+            if narrow {
+                return (Vec::new(), Vec::new());
+            }
             let mut qa = Vec::with_capacity(rows.len() * limbs);
             let mut qb = Vec::with_capacity(rows.len() * limbs);
             for row in rows {
@@ -272,6 +284,46 @@ impl PreparedRgsw {
             o_b,
             limbs,
         }
+    }
+
+    /// Whether any Shoup quotients were built (`false` when the key's
+    /// shape takes the narrow MAC, which reads none).
+    pub fn holds_quotients(&self) -> bool {
+        !self.s_a.is_empty()
+    }
+}
+
+/// Whether accumulating `terms` exact products per output coefficient over
+/// the first `limbs` moduli of `ctx` fits the narrow `u64` MAC
+/// ([`NttTable::pointwise_mac_narrow`]): `terms·(q−1)² ≤ u64::MAX` for
+/// every limb. An external product sums `2·limbs·digits` terms (16 at the
+/// Tiny rotation basis: four 28-bit limbs, `d = 2`), a Galois key switch
+/// `limbs·digits`. Depends only on the modulus widths and the term count,
+/// never on the SIMD backend.
+pub(crate) fn narrow_mac_ok(ctx: &RnsContext, limbs: usize, terms: usize) -> bool {
+    (0..limbs).all(|j| terms as u64 <= ctx.ntt(j).narrow_mac_term_limit())
+}
+
+/// The quotients a Shoup MAC reads for row-limb `rj`, or `None` on the
+/// narrow datapath (which reads none).
+#[inline]
+pub(crate) fn shoup_at(quots: &[ShoupPoly], rj: usize, narrow: bool) -> Option<&ShoupPoly> {
+    (!narrow).then(|| &quots[rj])
+}
+
+/// One `u64`-accumulator MAC: exact narrow products when `quots` is
+/// `None`, lazy Shoup products from the precomputed quotients otherwise.
+#[inline]
+pub(crate) fn mac_u64(
+    ntt: &NttTable,
+    x: &[u64],
+    ops: &[u64],
+    quots: Option<&ShoupPoly>,
+    acc: &mut [u64],
+) {
+    match quots {
+        None => ntt.pointwise_mac_narrow(x, ops, acc),
+        Some(q) => ntt.pointwise_mac_shoup(x, ops, q, acc),
     }
 }
 
@@ -316,7 +368,7 @@ pub struct ExternalProductScratch {
     acc_main: Vec<u128>,
     /// Second accumulator set for [`external_product_pair_into`].
     acc_alt: Vec<u128>,
-    /// `u64` accumulators for the Shoup datapath
+    /// `u64` accumulators for the narrow and Shoup datapaths
     /// ([`external_product_prepared_into`]), same layout as `acc_main`.
     acc_u64_main: Vec<u64>,
     /// Second `u64` accumulator set for the pair variant.
@@ -348,9 +400,9 @@ impl ExternalProductScratch {
         }
     }
 
-    /// [`Self::prepare`] for the Shoup datapath: `u64` accumulators instead
-    /// of `u128`.
-    fn prepare_shoup(&mut self, ctx: &RnsContext, params: &RgswParams, limbs: usize, pair: bool) {
+    /// [`Self::prepare`] for the narrow and Shoup datapaths: `u64`
+    /// accumulators instead of `u128`.
+    fn prepare_u64(&mut self, ctx: &RnsContext, params: &RgswParams, limbs: usize, pair: bool) {
         let n = ctx.n();
         self.digit_signed.resize_with(params.digits, Vec::new);
         for d in &mut self.digit_signed {
@@ -493,15 +545,22 @@ pub fn external_product_into(
     out.b.set_domain(Domain::Eval);
 }
 
-/// [`external_product_into`] over a precomputed key ([`PreparedRgsw`]):
-/// when a SIMD backend is active and the `2·limbs·digits` terms fit a
-/// `u64` accumulator, the MAC inner loop runs the Shoup datapath
-/// ([`heap_math::NttTable::pointwise_mac_shoup`]) — each term is a lazy
-/// Shoup product in `[0, 2q)` from the precomputed quotients, accumulated
-/// unreduced in `u64` and canonically reduced once per coefficient
-/// ([`heap_math::NttTable::reduce_shoup_acc_into`]). Otherwise it delegates
-/// to the `u128` path unchanged. Both paths produce canonical residues of
-/// the same congruence class, so outputs are bit-identical.
+/// [`external_product_into`] over a precomputed key ([`PreparedRgsw`]).
+/// The MAC inner loop picks one of three datapaths, all accumulating
+/// unreduced and reducing once per coefficient:
+///
+/// - **narrow** whenever the `2·limbs·digits` exact products fit a `u64`
+///   under every limb (`terms·(q−1)² ≤ u64::MAX`; any limbs below `2^30`
+///   at the Tiny shape), on every backend: [`NttTable::pointwise_mac_narrow`]
+///   adds plain products, reduced by
+///   [`NttTable::reduce_shoup_acc_into`];
+/// - **Shoup** when a SIMD backend is active and the terms (each `< 2q`)
+///   fit a `u64`: [`NttTable::pointwise_mac_shoup`] from the precomputed
+///   quotients;
+/// - otherwise the `u128` path of [`external_product_into`].
+///
+/// All three produce canonical residues of the same congruence class, so
+/// outputs are bit-identical.
 ///
 /// # Panics
 ///
@@ -517,7 +576,8 @@ pub fn external_product_prepared_into(
     out: &mut RlweCiphertext,
 ) {
     let limbs = ct.limbs();
-    if !shoup_path_ok(ctx, params, limbs) {
+    let narrow = narrow_mac_ok(ctx, limbs, 2 * params.rows(limbs));
+    if !narrow && !shoup_path_ok(ctx, params, limbs) {
         external_product_into(ct, rgsw, ctx, params, scratch, out);
         return;
     }
@@ -527,8 +587,12 @@ pub fn external_product_prepared_into(
         "RGSW row count mismatch"
     );
     assert_eq!(prep.limbs, limbs, "prepared key limb count mismatch");
+    assert!(
+        narrow || prep.holds_quotients(),
+        "prepared key holds no quotients"
+    );
     assert_eq!(out.limbs(), limbs, "output limb count mismatch");
-    scratch.prepare_shoup(ctx, params, limbs, false);
+    scratch.prepare_u64(ctx, params, limbs, false);
     copy_into_slot(&mut scratch.a_coeff, &ct.a);
     copy_into_slot(&mut scratch.b_coeff, &ct.b);
     let n = ctx.n();
@@ -562,18 +626,11 @@ pub fn external_product_prepared_into(
                     poly::from_signed_into(digits, m, spread);
                     ntt.forward(spread);
                     let w = j * n..(j + 1) * n;
-                    ntt.pointwise_mac_shoup(
-                        spread,
-                        row.a.limb(j),
-                        &quots_a[r * limbs + j],
-                        &mut acc_a[w.clone()],
-                    );
-                    ntt.pointwise_mac_shoup(
-                        spread,
-                        row.b.limb(j),
-                        &quots_b[r * limbs + j],
-                        &mut acc_b[w],
-                    );
+                    let rj = r * limbs + j;
+                    let qa = shoup_at(quots_a, rj, narrow);
+                    let qb = shoup_at(quots_b, rj, narrow);
+                    mac_u64(ntt, spread, row.a.limb(j), qa, &mut acc_a[w.clone()]);
+                    mac_u64(ntt, spread, row.b.limb(j), qb, &mut acc_b[w]);
                 }
             }
         }
@@ -685,10 +742,10 @@ pub fn external_product_pair_into(
 }
 
 /// [`external_product_pair_into`] over precomputed keys — the CMux hot
-/// path. Runs the Shoup `u64`-accumulator datapath when it applies (see
-/// [`external_product_prepared_into`] for the gate and the bit-identity
-/// argument), sharing one decomposition and one spread-NTT across **four**
-/// Shoup MACs; delegates to the `u128` pair variant otherwise.
+/// path. Runs the narrow or Shoup `u64`-accumulator datapath when one
+/// applies (see [`external_product_prepared_into`] for the gates and the
+/// bit-identity argument), sharing one decomposition and one spread-NTT
+/// across **four** MACs; delegates to the `u128` pair variant otherwise.
 ///
 /// # Panics
 ///
@@ -708,7 +765,8 @@ pub fn external_product_pair_prepared_into(
     out_neg: &mut RlweCiphertext,
 ) {
     let limbs = ct.limbs();
-    if !shoup_path_ok(ctx, params, limbs) {
+    let narrow = narrow_mac_ok(ctx, limbs, 2 * params.rows(limbs));
+    if !narrow && !shoup_path_ok(ctx, params, limbs) {
         external_product_pair_into(
             ct, rgsw_pos, rgsw_neg, ctx, params, scratch, out_pos, out_neg,
         );
@@ -723,10 +781,14 @@ pub fn external_product_pair_prepared_into(
     }
     for prep in [prep_pos, prep_neg] {
         assert_eq!(prep.limbs, limbs, "prepared key limb count mismatch");
+        assert!(
+            narrow || prep.holds_quotients(),
+            "prepared key holds no quotients"
+        );
     }
     assert_eq!(out_pos.limbs(), limbs, "output limb count mismatch");
     assert_eq!(out_neg.limbs(), limbs, "output limb count mismatch");
-    scratch.prepare_shoup(ctx, params, limbs, true);
+    scratch.prepare_u64(ctx, params, limbs, true);
     copy_into_slot(&mut scratch.a_coeff, &ct.a);
     copy_into_slot(&mut scratch.b_coeff, &ct.b);
     let n = ctx.n();
@@ -776,25 +838,12 @@ pub fn external_product_pair_prepared_into(
                     ntt.forward(spread);
                     let w = j * n..(j + 1) * n;
                     let rj = r * limbs + j;
-                    ntt.pointwise_mac_shoup(
-                        spread,
-                        row_p.a.limb(j),
-                        &qp.0[rj],
-                        &mut pos_a[w.clone()],
-                    );
-                    ntt.pointwise_mac_shoup(
-                        spread,
-                        row_p.b.limb(j),
-                        &qp.1[rj],
-                        &mut pos_b[w.clone()],
-                    );
-                    ntt.pointwise_mac_shoup(
-                        spread,
-                        row_n.a.limb(j),
-                        &qn.0[rj],
-                        &mut neg_a[w.clone()],
-                    );
-                    ntt.pointwise_mac_shoup(spread, row_n.b.limb(j), &qn.1[rj], &mut neg_b[w]);
+                    let (pa, pb) = (shoup_at(qp.0, rj, narrow), shoup_at(qp.1, rj, narrow));
+                    let (na, nb) = (shoup_at(qn.0, rj, narrow), shoup_at(qn.1, rj, narrow));
+                    mac_u64(ntt, spread, row_p.a.limb(j), pa, &mut pos_a[w.clone()]);
+                    mac_u64(ntt, spread, row_p.b.limb(j), pb, &mut pos_b[w.clone()]);
+                    mac_u64(ntt, spread, row_n.a.limb(j), na, &mut neg_a[w.clone()]);
+                    mac_u64(ntt, spread, row_n.b.limb(j), nb, &mut neg_b[w]);
                 }
             }
         }

@@ -152,29 +152,41 @@ impl RlweCiphertext {
         self.b.sub_assign(&other.b, ctx);
     }
 
-    /// Multiplies both components by an evaluation-domain polynomial
-    /// factor (flat layout: limb `j` at `factor[j*n..(j+1)*n]`).
+    /// `self += other · factor`, with `factor` an evaluation-domain
+    /// polynomial (flat layout: limb `j` at `factor[j*n..(j+1)*n]`).
     ///
     /// This is how the restructured CMux applies its `(X^{±a_i} − 1)`
     /// terms: scaling the two RLWE polynomials of an external-product
-    /// output instead of the `2·ℓ·2` polynomials of an RGSW matrix.
+    /// output instead of the `2·ℓ·2` polynomials of an RGSW matrix, fused
+    /// with the accumulator update into one vector multiply-add
+    /// ([`poly::mul_add_assign`]).
     ///
     /// # Panics
     ///
-    /// Panics if either component is in coefficient domain or `factor` is
-    /// shorter than `limbs · n`.
-    pub fn mul_eval_factor_assign(&mut self, factor: &[u64], ctx: &RnsContext) {
+    /// Panics if any component is in coefficient domain, the limb counts
+    /// differ, or `factor` is shorter than `limbs · n`.
+    pub fn add_mul_eval_factor_assign(
+        &mut self,
+        other: &RlweCiphertext,
+        factor: &[u64],
+        ctx: &RnsContext,
+    ) {
         let n = ctx.n();
-        for part in [&mut self.a, &mut self.b] {
-            assert_eq!(part.domain(), Domain::Eval, "needs Eval domain");
+        for (part, src) in [(&mut self.a, &other.a), (&mut self.b, &other.b)] {
+            assert!(
+                part.domain() == Domain::Eval && src.domain() == Domain::Eval,
+                "needs Eval domain"
+            );
             let limbs = part.limb_count();
+            assert_eq!(src.limb_count(), limbs, "limb count mismatch");
             assert!(factor.len() >= limbs * n, "factor too short");
             for j in 0..limbs {
-                let m = ctx.modulus(j);
-                let f = &factor[j * n..(j + 1) * n];
-                for (x, &fx) in part.limb_mut(j).iter_mut().zip(f) {
-                    *x = m.mul(*x, fx);
-                }
+                poly::mul_add_assign(
+                    part.limb_mut(j),
+                    src.limb(j),
+                    &factor[j * n..(j + 1) * n],
+                    ctx.modulus(j),
+                );
             }
         }
     }

@@ -81,7 +81,8 @@ fn external_product_into_is_allocation_free_when_warm() {
     );
 
     // The restructured CMux's per-step work: one paired external product
-    // plus two flat monomial-factor fills. Same warm-then-count protocol
+    // plus two flat monomial-factor fills, each multiplied into the
+    // accumulator. Same warm-then-count protocol
     // (kept inside this single test so no concurrent test taints the
     // allocation window).
     let rgsw_neg = RgswCiphertext::encrypt_scalar(&ctx, &sk, 0, 2, &params, &mut rng);
@@ -90,6 +91,7 @@ fn external_product_into_is_allocation_free_when_warm() {
     let mut out_pos = RlweCiphertext::zero(&ctx, 2);
     let mut out_neg = RlweCiphertext::zero(&ctx, 2);
     let mut factor = Vec::new();
+    let mut acc = ct.clone();
     external_product_pair_into(
         &ct,
         &rgsw,
@@ -116,9 +118,9 @@ fn external_product_into_is_allocation_free_when_warm() {
             &mut out_neg,
         );
         monomials.factor_into(step + 1, &ctx, &mut factor);
-        out_pos.mul_eval_factor_assign(&factor, &ctx);
+        acc.add_mul_eval_factor_assign(&out_pos, &factor, &ctx);
         monomials.factor_into(255 - step, &ctx, &mut factor);
-        out_neg.mul_eval_factor_assign(&factor, &ctx);
+        acc.add_mul_eval_factor_assign(&out_neg, &factor, &ctx);
     }
     TRACK.store(false, Ordering::SeqCst);
     let count = ALLOCS.load(Ordering::SeqCst);
@@ -127,28 +129,29 @@ fn external_product_into_is_allocation_free_when_warm() {
         "paired product + factor path allocated {count} times after warm-up"
     );
 
-    // The Shoup-precomputed pair path (the CMux step the blind rotation
-    // actually drives): quotients come from the key-load-time
-    // `PreparedRgsw`, u64 accumulators from the scratch — still zero
-    // allocations once warm, on every backend.
-    let prep_pos = PreparedRgsw::new(&rgsw, &ctx);
-    let prep_neg = PreparedRgsw::new(&rgsw_neg, &ctx);
-    external_product_pair_prepared_into(
-        &ct,
-        &rgsw,
-        &rgsw_neg,
-        &prep_pos,
-        &prep_neg,
-        &ctx,
-        &params,
-        &mut pair_scratch,
-        &mut out_pos,
-        &mut out_neg,
-    );
-
-    ALLOCS.store(0, Ordering::SeqCst);
-    TRACK.store(true, Ordering::SeqCst);
-    for _ in 0..8 {
+    // The prepared pair path (the CMux step the blind rotation actually
+    // drives), on both u64-accumulator datapaths: 30-bit limbs take the
+    // narrow MAC (no quotients), 36-bit limbs the Shoup MAC with
+    // key-load-time quotients (or the u128 MAC under forced scalar). Still
+    // zero allocations once warm, on every backend — and so is the
+    // repacking tree's in-place monomial shift.
+    for bits in [30u32, 36] {
+        let ctx = RnsContext::new(128, &ntt_primes(128, bits, 2));
+        let params = RgswParams {
+            base_bits: bits.div_ceil(2),
+            digits: 2,
+        };
+        let sk = RingSecretKey::generate(&ctx, 2, &mut rng);
+        let ct = RlweCiphertext::encrypt(&ctx, &sk, &RnsPoly::from_signed(&ctx, &msg, 2), &mut rng);
+        let rgsw = RgswCiphertext::encrypt_scalar(&ctx, &sk, 1, 2, &params, &mut rng);
+        let rgsw_neg = RgswCiphertext::encrypt_scalar(&ctx, &sk, 0, 2, &params, &mut rng);
+        let prep_pos = PreparedRgsw::new(&rgsw, &ctx);
+        let prep_neg = PreparedRgsw::new(&rgsw_neg, &ctx);
+        assert_eq!(prep_pos.holds_quotients(), bits > 30);
+        let monomials = MonomialEvals::new(&ctx, 2);
+        let mut pair_scratch = ExternalProductScratch::default();
+        let mut out_pos = RlweCiphertext::zero(&ctx, 2);
+        let mut out_neg = RlweCiphertext::zero(&ctx, 2);
         external_product_pair_prepared_into(
             &ct,
             &rgsw,
@@ -161,11 +164,29 @@ fn external_product_into_is_allocation_free_when_warm() {
             &mut out_pos,
             &mut out_neg,
         );
+
+        ALLOCS.store(0, Ordering::SeqCst);
+        TRACK.store(true, Ordering::SeqCst);
+        for step in 0..8 {
+            external_product_pair_prepared_into(
+                &ct,
+                &rgsw,
+                &rgsw_neg,
+                &prep_pos,
+                &prep_neg,
+                &ctx,
+                &params,
+                &mut pair_scratch,
+                &mut out_pos,
+                &mut out_neg,
+            );
+            monomials.mul_monomial_assign(&mut out_pos.a, step + 1, &ctx);
+        }
+        TRACK.store(false, Ordering::SeqCst);
+        let count = ALLOCS.load(Ordering::SeqCst);
+        assert_eq!(
+            count, 0,
+            "{bits}-bit prepared pair product allocated {count} times after warm-up"
+        );
     }
-    TRACK.store(false, Ordering::SeqCst);
-    let count = ALLOCS.load(Ordering::SeqCst);
-    assert_eq!(
-        count, 0,
-        "prepared pair product allocated {count} times after warm-up"
-    );
 }
